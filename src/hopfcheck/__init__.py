@@ -5,7 +5,7 @@ from .errors import (ConstructionError, HopfcheckError, ResourceGuardError,
                      SpecFileError, StructuralError, TruncationError,
                      UnsupportedRingError)
 from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                   Tensor2Map, kernel_basis, kernel_vectors, tensor_of)
+                   Tensor2Map, kernel_vectors)
 from .hopf import HopfPresentation
 from .reduced import (delta_kernel_vectors, idbar, is_primitive,
                       reduced_coproduct, reduced_coproduct_label,

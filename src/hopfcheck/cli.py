@@ -40,6 +40,7 @@ def _suite_antipode_axioms(H, args):
 
 
 def _suite_reduced(H, args):
+    H.require_connected()
     return [verify_delta_factorization(H),
             verify_delta_degree_bound(H),
             verify_prim_characterization(H, seed=args.seed)]
@@ -174,6 +175,8 @@ def _emit(text: str, out_path):
 
 
 def run_verify(args) -> int:
+    if args.p < 1:
+        raise HopfcheckError("p must be a positive integer")
     H = load_algebra(args)
     suite_names = args.suite
     if not suite_names:

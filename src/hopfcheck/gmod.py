@@ -4,6 +4,10 @@ Elements of the module and of its tensor square are sparse coefficient
 dicts (label -> RingElement, resp. (label, label) -> RingElement) with no
 stored zeros.  Linear maps are stored by their images on basis labels and
 support composition, powers, sums and tensor products.
+
+All coefficient arithmetic on these dicts runs through one kernel,
+:meth:`_Sparse.lincomb`, on raw ring values; ``RingElement`` boxes are made
+only for the coefficients it returns.
 """
 
 from __future__ import annotations
@@ -60,48 +64,97 @@ class GradedBasis:
         return f"GradedBasis(ranks=[{ranks}])"
 
 
-def _prune(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v}
+def _same_module(a, b) -> bool:
+    """Whether a and b (elements or maps) share their basis and ring."""
+    return ((a.basis is b.basis or a.basis == b.basis)
+            and (a.ring is b.ring or a.ring == b.ring))
+
+
+def _check_ring(ring: Ring, *items):
+    """Raise unless every item (a RingElement or a sparse element) is over ring."""
+    for item in items:
+        if item is not None and item.ring is not ring and item.ring != ring:
+            raise StructuralError(f"mixed-ring operands: {item.ring} vs {ring}")
 
 
 class _Sparse:
-    """Shared arithmetic for Element and Tensor2Element."""
+    """Shared arithmetic for Element and Tensor2Element.
+
+    Every coefficient is a nonzero RingElement of ``ring``: the constructor
+    checks and prunes what it is given, and :meth:`lincomb` produces only
+    such coefficients.
+    """
 
     __slots__ = ("basis", "ring", "coeffs")
 
     def __init__(self, basis: GradedBasis, ring: Ring, coeffs: dict):
         self.basis = basis
         self.ring = ring
-        self.coeffs = _prune(coeffs)
+        self.coeffs = {k: c for k, v in coeffs.items() if (c := ring.element(v))}
+
+    @classmethod
+    def _of(cls, basis: GradedBasis, ring: Ring, coeffs: dict):
+        """Wrap coefficients that already satisfy the class invariant."""
+        self = object.__new__(cls)
+        self.basis, self.ring, self.coeffs = basis, ring, coeffs
+        return self
+
+    @classmethod
+    def lincomb(cls, basis: GradedBasis, ring: Ring, terms):
+        """The sum of c*x, or of c*(x (x) y), over ``terms`` of (c, x, y).
+
+        ``c`` is a RingElement and ``x``, ``y`` are sparse elements, with
+        ``y`` None for a plain multiple; the keys of a tensor term are the
+        pairs (key of x, key of y).  The rings of c, x and y are checked
+        once per term.  Products and sums run on canonical raw values
+        (``ring._mul``, ``ring._add``) in one dict; zeros are dropped against
+        the raw zero, and each surviving coefficient is boxed once.  This is
+        the one accumulation kernel under every sparse sum, map application
+        and structure-constant expansion.
+        """
+        mul, add, one = ring._mul, ring._add, ring.one
+        acc = {}
+        for c, x, y in terms:
+            if c.ring is not ring or x.ring is not ring or (
+                    y is not None and y.ring is not ring):
+                _check_ring(ring, c, x, y)
+            c = None if c is one else c.value
+            for k, v in x.coeffs.items():
+                v = v.value if c is None else mul(c, v.value)
+                if y is None:
+                    acc[k] = add(acc[k], v) if k in acc else v
+                    continue
+                for k2, w in y.coeffs.items():
+                    key, t = (k, k2), mul(v, w.value)
+                    acc[key] = add(acc[key], t) if key in acc else t
+        zero = ring._zero
+        return cls._of(basis, ring, {k: RingElement(ring, v)
+                                     for k, v in acc.items() if v != zero})
 
     def _check(self, other):
-        if self.basis != other.basis or self.ring != other.ring:
+        if not _same_module(self, other):
             raise StructuralError("operands from different modules")
         if type(self) is not type(other):
             raise StructuralError("mixing module and tensor-square elements")
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return type(self)(self.basis, self.ring, out)
+        one = self.ring.one
+        return self.lincomb(self.basis, self.ring,
+                            ((one, self, None), (one, other, None)))
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] - v if k in out else -v
-        return type(self)(self.basis, self.ring, out)
+        return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.basis, self.ring,
-                          {k: -v for k, v in self.coeffs.items()})
+        ring = self.ring
+        neg = ring._neg
+        return self._of(self.basis, ring, {k: RingElement(ring, neg(v.value))
+                                           for k, v in self.coeffs.items()})
 
     def scale(self, c):
-        c = self.ring.element(c)
-        return type(self)(self.basis, self.ring,
-                          {k: c * v for k, v in self.coeffs.items()})
+        return self.lincomb(self.basis, self.ring,
+                            ((self.ring.element(c), self, None),))
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -145,23 +198,12 @@ class Element(_Sparse):
 
     def tensor(self, other: "Element") -> "Tensor2Element":
         self._check(other)
-        out = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                out[(l1, l2)] = c1 * c2
-        return Tensor2Element(self.basis, self.ring, out)
-
-
-def tensor_of(x: Element, y: Element) -> Tensor2Element:
-    return x.tensor(y)
+        return Tensor2Element.lincomb(self.basis, self.ring,
+                                      ((self.ring.one, self, other),))
 
 
 class Tensor2Element(_Sparse):
     """Sparse tensor-square element: (label, label) -> coefficient."""
-
-    @classmethod
-    def zero(cls, basis, ring):
-        return cls(basis, ring, {})
 
     def bidegree_support(self):
         deg = self.basis.degree_of
@@ -169,16 +211,12 @@ class Tensor2Element(_Sparse):
 
 
 class GradedMap:
-    """A linear endomap given by its images on all basis labels.
-
-    By default images must be homogeneous of their label's degree; with
-    ``filtered=True`` they may live in any degree up to that bound.
-    """
+    """A linear endomap given by its images on all basis labels; each image
+    is homogeneous of its label's degree and over the map's ring."""
 
     __slots__ = ("basis", "ring", "images")
 
-    def __init__(self, basis: GradedBasis, ring: Ring, images: dict,
-                 filtered: bool = False):
+    def __init__(self, basis: GradedBasis, ring: Ring, images: dict):
         missing = [l for l in basis.labels if l not in images]
         if missing:
             raise StructuralError(f"map undefined on labels {missing[:3]}")
@@ -186,17 +224,13 @@ class GradedMap:
         self.ring = ring
         self.images = images
         for label, img in images.items():
+            _check_ring(ring, img)
             bound = basis.degree_of(label)
-            bad = [d for d in img.degrees()
-                   if d > bound or (d != bound and not filtered)]
+            bad = [d for d in img.degrees() if d != bound]
             if bad:
                 raise StructuralError(
                     f"image of {label!r} has degree {max(bad)}, "
                     f"violating the degree bound {bound}")
-
-    @classmethod
-    def from_function(cls, basis, ring, fn, filtered=False):
-        return cls(basis, ring, {l: fn(l) for l in basis.labels}, filtered)
 
     @classmethod
     def identity(cls, basis, ring):
@@ -209,24 +243,24 @@ class GradedMap:
         return cls(basis, ring, {l: z for l in basis.labels})
 
     def _check(self, other):
-        if self.basis != other.basis or self.ring != other.ring:
+        if not _same_module(self, other):
             raise StructuralError("maps over different modules")
 
     def __call__(self, x: Element) -> Element:
-        if x.basis != self.basis or x.ring != self.ring:
+        if not _same_module(x, self):
             raise StructuralError("argument from a different module")
-        out = {}
-        for label, c in x.coeffs.items():
-            for l2, v in self.images[label].coeffs.items():
-                t = c * v
-                out[l2] = out[l2] + t if l2 in out else t
-        return Element(self.basis, self.ring, out)
+        return self._apply(x)
+
+    def _apply(self, x: Element) -> Element:
+        images = self.images
+        return Element.lincomb(self.basis, self.ring,
+                               ((c, images[l], None) for l, c in x.coeffs.items()))
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
         self._check(other)
-        return GradedMap(self.basis, self.ring,
-                         {l: self(other.images[l]) for l in self.basis.labels})
+        return GradedMap(self.basis, self.ring, {l: self._apply(other.images[l])
+                                                 for l in self.basis.labels})
 
     def __add__(self, other):
         self._check(other)
@@ -264,10 +298,10 @@ class GradedMap:
     def apply_tensor(self, other: "GradedMap", t: Tensor2Element) -> Tensor2Element:
         """(self (x) other)(t) without materializing the tensor map."""
         self._check(other)
-        out = Tensor2Element.zero(self.basis, self.ring)
-        for (l1, l2), c in t.coeffs.items():
-            out = out + self.images[l1].tensor(other.images[l2]).scale(c)
-        return out
+        return Tensor2Element.lincomb(
+            self.basis, self.ring,
+            ((c, self.images[l1], other.images[l2])
+             for (l1, l2), c in t.coeffs.items()))
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -298,16 +332,14 @@ class Tensor2Map:
         return cls(basis, ring, images)
 
     def _check(self, other):
-        if self.basis != other.basis or self.ring != other.ring:
+        if not _same_module(self, other):
             raise StructuralError("maps over different modules")
 
     def __call__(self, t: Tensor2Element) -> Tensor2Element:
-        out = {}
-        for pair, c in t.coeffs.items():
-            for p2, v in self.images[pair].coeffs.items():
-                w = c * v
-                out[p2] = out[p2] + w if p2 in out else w
-        return Tensor2Element(self.basis, self.ring, out)
+        images = self.images
+        return Tensor2Element.lincomb(
+            self.basis, self.ring,
+            ((c, images[pair], None) for pair, c in t.coeffs.items()))
 
     def compose(self, other: "Tensor2Map") -> "Tensor2Map":
         self._check(other)
@@ -349,7 +381,7 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
 
     ``columns`` maps each key in ``keys`` to a dict (row-key -> RingElement).
     Returns a spanning list of kernel vectors as dicts key -> RingElement,
-    computed by exact Gaussian elimination.  Requires a field.
+    computed by exact Gaussian elimination on raw values.  Requires a field.
     """
     if not ring.is_field:
         raise UnsupportedRingError(f"kernel computation needs a field, got {ring}")
@@ -362,25 +394,34 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
                 row_index[rk] = len(row_keys)
                 row_keys.append(rk)
     ncols, nrows = len(keys), len(row_keys)
-    zero = ring.zero
+    mul, add, neg, zero = ring._mul, ring._add, ring._neg, ring._zero
     mat = [[zero] * ncols for _ in range(nrows)]
     for j, k in enumerate(keys):
         for rk, v in columns[k].items():
-            mat[row_index[rk]][j] = v
-    # row echelon with leftmost-nonzero pivoting
+            if v.ring is not ring:
+                _check_ring(ring, v)
+            mat[row_index[rk]][j] = v.value
+    # reduced row echelon form with leftmost-nonzero pivoting; only the
+    # pivot row's nonzero columns are touched when eliminating
     pivot_col_of_row = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [inv * v for v in mat[r]]
+        prow = mat[r]
+        inv = ring._inv(prow[c])
+        support = [j for j in range(c, ncols) if prow[j] != zero]
+        for j in support:
+            prow[j] = mul(inv, prow[j])
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(ncols)]
+            row = mat[i]
+            f = row[c]
+            if i != r and f != zero:
+                f = neg(f)
+                for j in support:
+                    row[j] = add(row[j], mul(f, prow[j]))
         pivot_col_of_row.append(c)
         r += 1
         if r == nrows:
@@ -393,15 +434,7 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
         vec = {keys[c]: ring.one}
         for i, pc in enumerate(pivot_col_of_row):
             v = mat[i][c]
-            if v:
-                vec[keys[pc]] = -v
+            if v != zero:
+                vec[keys[pc]] = RingElement(ring, neg(v))
         kernel.append(vec)
     return kernel
-
-
-def kernel_basis(f: GradedMap, d: int):
-    """Basis of Ker(f) restricted to the degree-d component."""
-    labels = f.basis.labels_of_degree(d)
-    columns = {l: f.images[l].coeffs for l in labels}
-    vecs = kernel_vectors(columns, labels, f.ring)
-    return [Element(f.basis, f.ring, v) for v in vecs]

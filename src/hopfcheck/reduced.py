@@ -63,9 +63,10 @@ def verify_delta_factorization(H: HopfPresentation,
     ib = lambda x: idbar(H, x)
     for label in H.basis.labels_up_to(n):
         lhs = reduced_coproduct_label(H, label)
-        rhs = Tensor2Element.zero(H.basis, H.ring)
-        for (a, b), c in H.coproduct_of_label(label).coeffs.items():
-            rhs = rhs + ib(H.element(a)).tensor(ib(H.element(b))).scale(c)
+        rhs = Tensor2Element.lincomb(
+            H.basis, H.ring,
+            ((c, ib(H.element(a)), ib(H.element(b)))
+             for (a, b), c in H.coproduct_of_label(label).coeffs.items()))
         if lhs != rhs:
             rep.add("factorization", "delta = (idbar(x)idbar) o coproduct",
                     FAIL, witness_of(label, lhs - rhs))

@@ -39,6 +39,15 @@ class Report:
     def add(self, claim, statement, status, witness=None):
         self.checks.append(Check(claim, statement, status, witness))
 
+    def per_label(self, claim, statement, labels, predicate):
+        """Add one check: FAIL with the first label failing ``predicate``
+        as witness, PASS when every label satisfies it."""
+        for label in labels:
+            if not predicate(label):
+                self.add(claim, statement, FAIL, witness_of(label))
+                return
+        self.add(claim, statement, PASS)
+
     def ok(self) -> bool:
         return all(c.status in _OK_STATUSES for c in self.checks)
 

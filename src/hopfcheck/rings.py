@@ -19,8 +19,10 @@ the CLI and by algebra spec files::
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import StructuralError, UnsupportedRingError
 
@@ -58,7 +60,7 @@ class RingElement:
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise StructuralError(
                     f"mixed-ring operands: {self.ring} vs {other.ring}")
             return other
@@ -120,7 +122,7 @@ class RingElement:
         return hash((self.ring, self.value))
 
     def __bool__(self):
-        return self.value != self.ring.zero.value
+        return self.value != self.ring._zero
 
     def is_zero(self) -> bool:
         return not self
@@ -140,7 +142,7 @@ class Ring:
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
-            if value.ring != self:
+            if value.ring is not self and value.ring != self:
                 raise StructuralError(f"element of {value.ring}, expected {self}")
             return value
         if isinstance(value, int):
@@ -151,15 +153,20 @@ class Ring:
         """Image of the integer n under the unique ring map Z -> R."""
         return RingElement(self, self._embed_int(n))
 
-    @property
+    @cached_property
     def zero(self) -> RingElement:
         return self.embed(0)
 
-    @property
+    @cached_property
     def one(self) -> RingElement:
         return self.embed(1)
 
     # raw-value interface -------------------------------------------------
+    @cached_property
+    def _zero(self):
+        """The canonical raw zero, against which raw values are tested."""
+        return self._embed_int(0)
+
     def _canon(self, value):
         raise NotImplementedError
 
@@ -195,14 +202,9 @@ class IntegerRing(Ring):
     def _embed_int(self, n):
         return n
 
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
+    _add = staticmethod(operator.add)
+    _mul = staticmethod(operator.mul)
+    _neg = staticmethod(operator.neg)
 
     def format_value(self, value):
         return str(value)
@@ -229,14 +231,9 @@ class RationalRing(Ring):
     def _embed_int(self, n):
         return Fraction(n)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
+    _add = staticmethod(operator.add)
+    _mul = staticmethod(operator.mul)
+    _neg = staticmethod(operator.neg)
 
     def _inv(self, a):
         if a == 0:
@@ -321,7 +318,7 @@ class PolyQuotientRing(Ring):
             raise StructuralError("quotient base must be Z or Q")
         mod = tuple(base._canon(c) if not isinstance(c, int) else base._embed_int(c)
                     for c in modulus)
-        while len(mod) > 0 and mod[-1] == base.zero.value:
+        while len(mod) > 0 and mod[-1] == base._zero:
             mod = mod[:-1]
         if len(mod) < 2:
             raise StructuralError("modulus must have degree >= 1")
@@ -334,16 +331,17 @@ class PolyQuotientRing(Ring):
         self.is_field = irreducible and isinstance(base, RationalRing)
 
     def _reduce(self, coeffs: list):
-        mod, d = self.modulus, self.degree
+        mod, d, base = self.modulus, self.degree, self.base
+        zero = base._zero
         coeffs = list(coeffs)
         for k in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[k]
-            if c != self.base.zero.value:
+            if c != zero:
                 for i in range(d + 1):
-                    coeffs[k - d + i] = self.base._add(
-                        coeffs[k - d + i], self.base._neg(self.base._mul(c, mod[i])))
+                    coeffs[k - d + i] = base._add(
+                        coeffs[k - d + i], base._neg(base._mul(c, mod[i])))
         coeffs = coeffs[:d]
-        coeffs += [self.base.zero.value] * (d - len(coeffs))
+        coeffs += [zero] * (d - len(coeffs))
         return tuple(coeffs)
 
     def _canon(self, value):
@@ -362,13 +360,14 @@ class PolyQuotientRing(Ring):
         return tuple(self.base._neg(x) for x in a)
 
     def _mul(self, a, b):
-        zero = self.base.zero.value
+        base = self.base
+        zero = base._zero
         out = [zero] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x == zero:
                 continue
             for j, y in enumerate(b):
-                out[i + j] = self.base._add(out[i + j], self.base._mul(x, y))
+                out[i + j] = base._add(out[i + j], base._mul(x, y))
         return self._reduce(out)
 
     def _inv(self, a):

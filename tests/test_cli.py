@@ -117,3 +117,32 @@ def test_list_suites(capsys):
     for name in ("graded-hopf", "theorem1", "binomial-identity",
                  "lowered-exponent", "taft-remark"):
         assert name in out
+
+
+# --- preconditions ------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["lowered-exponent", "filtered", "bialgebra"])
+@pytest.mark.parametrize("p", ["0", "-3"])
+def test_nonpositive_p_is_config_error(capsys, suite, p):
+    code, out, err = run(capsys, "verify", "--algebra", "abc", "--maxdeg", "4",
+                         "--suite", suite, "--p", p)
+    assert code == 1
+    assert "p must be a positive integer" in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("suite", ["graded-hopf", "lowered-exponent",
+                                   "filtered", "reduced", "theorem1"])
+def test_connected_only_suites_reject_taft(capsys, suite):
+    code, out, err = run(capsys, "verify", "--algebra", "taft",
+                         "--suite", suite)
+    assert code == 1
+    assert "taft3 is not connected" in err
+    assert out == ""
+
+
+def test_oracle_agreement_not_checked_on_taft(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "taft",
+                       "--suite", "oracle-agreement")
+    assert code == 0
+    assert "not-checked" in out and "not connected" in out
