@@ -455,7 +455,7 @@ def suite_antipode_props(H: HopfPresentation) -> Report:
 def suite_oracle_agreement(H: HopfPresentation) -> Report:
     """The two antipode recursions (left and right axiom) agree."""
     rep = Report(f"oracle-agreement({H.name})")
-    if not H.is_connected():
+    if not H.is_connected() and H.has_explicit_antipode():
         rep.add("agreement",
                 "left-recursion antipode equals right-recursion antipode",
                 NOT_CHECKED, f"{H.name} is not connected: both recursions "
