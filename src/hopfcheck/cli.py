@@ -31,14 +31,6 @@ from .zoo import ZOO, build_algebra
 DEFAULT_MAXDEG = 4
 
 
-def _suite_bialgebra(H, args):
-    return [H.verify_bialgebra()]
-
-
-def _suite_antipode_axioms(H, args):
-    return [H.verify_antipode_axioms()]
-
-
 def _suite_reduced(H, args):
     H.require_connected()
     return [verify_delta_factorization(H),
@@ -46,64 +38,40 @@ def _suite_reduced(H, args):
             verify_prim_characterization(H, seed=args.seed)]
 
 
-def _suite_graded_hopf(H, args):
-    return [V.suite_graded_hopf(H)]
-
-
-def _suite_lowered_exponent(H, args):
-    return [V.suite_lowered_exponent(H, args.p)]
-
-
-def _suite_filtered(H, args):
-    S = H.antipode()
-    ident = GradedMap.identity(H.basis, H.ring)
-    return [V.suite_corollary_filtered(H, ident, S.compose(S), args.p)]
-
-
 def _suite_theorem1(H, args):
     inst = V.instance_from_hopf(H, "id", "S2", args.p)
     return [V.check_hypotheses(inst), V.verify_conclusions(inst)]
 
 
-def _suite_binomial_identity(H, args):
-    inst = V.instance_from_hopf(H, "id", "S2", args.p)
-    return [V.binomial_identity_check(inst, K=3)]
-
-
-def _suite_antipode_props(H, args):
-    return [V.suite_antipode_props(H)]
-
-
-def _suite_oracle_agreement(H, args):
-    return [V.suite_oracle_agreement(H)]
-
-
-def _suite_taft_remark(H, args):
-    return [V.suite_taft_remark(args.taft_n)]
-
-
+# name -> (runner(H, args) returning reports, description).  Runners look
+# the suites up on the verify module when they run, so a wrapper patched
+# onto a suite there (as perfbench's tracer does) is seen.
 SUITES = {
-    "bialgebra": (_suite_bialgebra, "bialgebra axioms on all basis labels"),
-    "antipode-axioms": (_suite_antipode_axioms,
+    "bialgebra": (lambda H, args: [H.verify_bialgebra()],
+                  "bialgebra axioms on all basis labels"),
+    "antipode-axioms": (lambda H, args: [H.verify_antipode_axioms()],
                         "both antipode convolution axioms"),
     "reduced": (_suite_reduced,
                 "reduced coproduct: factorization, degree bound, primitives"),
-    "graded-hopf": (_suite_graded_hopf,
+    "graded-hopf": (lambda H, args: [V.suite_graded_hopf(H)],
                     "per-degree nilpotency of id - S^2 on a graded connected "
                     "presentation"),
-    "lowered-exponent": (_suite_lowered_exponent,
+    "lowered-exponent": (lambda H, args: [V.suite_lowered_exponent(H, args.p)],
                          "exponent lowering when id - S^2 kills degrees 2..p"),
-    "filtered": (_suite_filtered,
+    "filtered": (lambda H, args: [V.suite_corollary_filtered(
+                     H, GradedMap.identity(H.basis, H.ring),
+                     H.antipode().compose(H.antipode()), args.p)],
                  "filtered corollary for e = id, f = S^2 at the given p"),
     "theorem1": (_suite_theorem1,
                  "generic nilpotency theorem: hypotheses and conclusions"),
-    "binomial-identity": (_suite_binomial_identity,
+    "binomial-identity": (lambda H, args: [V.binomial_identity_check(
+                              V.instance_from_hopf(H, "id", "S2", args.p), K=3)],
                           "operator binomial expansion behind the proof"),
-    "antipode-props": (_suite_antipode_props,
+    "antipode-props": (lambda H, args: [V.suite_antipode_props(H)],
                        "basic antipode facts, including whether S^2 = id"),
-    "oracle-agreement": (_suite_oracle_agreement,
+    "oracle-agreement": (lambda H, args: [V.suite_oracle_agreement(H)],
                          "left- and right-recursion antipodes agree"),
-    "taft-remark": (_suite_taft_remark,
+    "taft-remark": (lambda H, args: [V.suite_taft_remark(args.taft_n)],
                     "Taft algebra: S^2 has infinite nilpotency order on x"),
 }
 
@@ -175,8 +143,7 @@ def _emit(text: str, out_path):
 
 
 def run_verify(args) -> int:
-    if args.p < 1:
-        raise HopfcheckError("p must be a positive integer")
+    V.require_positive_p(args.p)
     H = load_algebra(args)
     suite_names = args.suite
     if not suite_names:

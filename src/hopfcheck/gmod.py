@@ -42,8 +42,12 @@ class GradedBasis:
         return self.degrees[d]
 
     def labels_up_to(self, d: int):
+        return self.labels_between(0, d)
+
+    def labels_between(self, lo: int, hi: int):
+        """Labels of degrees lo..hi, in basis order."""
         out = []
-        for i in range(min(d, self.max_degree) + 1):
+        for i in range(max(lo, 0), min(hi, self.max_degree) + 1):
             out.extend(self.degrees[i])
         return tuple(out)
 

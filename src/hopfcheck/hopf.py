@@ -250,28 +250,24 @@ class HopfPresentation:
         # compatibility: coproduct and counit are algebra maps
         pairs = [(l1, l2) for l1 in labels for l2 in labels
                  if self.degree_of(l1) + self.degree_of(l2) <= n]
-        ok = PASS
-        wit = None
-        for l1, l2 in pairs:
-            lhs = self.coproduct(self.product_of_labels(l1, l2))
-            rhs = self.t2_product(self.coproduct_of_label(l1),
-                                  self.coproduct_of_label(l2))
-            if lhs != rhs:
-                ok, wit = FAIL, witness_of((l1, l2), lhs - rhs)
-                break
-        rep.add("coproduct-multiplicative",
-                "coproduct(x*y) = coproduct(x)*coproduct(y)", ok, wit)
 
-        ok = PASS
-        wit = None
-        for l1, l2 in pairs:
-            lhs = self.counit(self.product_of_labels(l1, l2))
-            rhs = self.counit_of_label(l1) * self.counit_of_label(l2)
-            if lhs != rhs:
-                ok, wit = FAIL, witness_of((l1, l2), lhs)
-                break
-        rep.add("counit-multiplicative", "counit(x*y) = counit(x)*counit(y)",
-                ok, wit)
+        def coproduct_failure(pair):
+            lhs = self.coproduct(self.product_of_labels(*pair))
+            rhs = self.t2_product(self.coproduct_of_label(pair[0]),
+                                  self.coproduct_of_label(pair[1]))
+            return None if lhs == rhs else witness_of(pair, lhs - rhs)
+
+        def counit_failure(pair):
+            lhs = self.counit(self.product_of_labels(*pair))
+            rhs = self.counit_of_label(pair[0]) * self.counit_of_label(pair[1])
+            return None if lhs == rhs else witness_of(pair, lhs)
+
+        rep.first_failure("coproduct-multiplicative",
+                          "coproduct(x*y) = coproduct(x)*coproduct(y)",
+                          pairs, coproduct_failure)
+        rep.first_failure("counit-multiplicative",
+                          "counit(x*y) = counit(x)*counit(y)",
+                          pairs, counit_failure)
         return rep
 
     def verify_antipode_axioms(self, S: GradedMap | None = None,

@@ -55,23 +55,32 @@ def random_elements(H: HopfPresentation, count: int, seed: int,
     return out
 
 
+def middle_bidegree_failure(label: str, t: Tensor2Element):
+    """None when ``t`` is supported in the bidegrees (i, n-i), 0 < i < n,
+    for n the degree of ``label``; else the witness naming the bidegrees
+    outside them."""
+    n = t.basis.degree_of(label)
+    outside = t.bidegree_support() - {(i, n - i) for i in range(1, n)}
+    return witness_of(label, sorted(outside)) if outside else None
+
+
 def verify_delta_factorization(H: HopfPresentation,
                                up_to: int | None = None) -> Report:
     """delta = (idbar (x) idbar) o coproduct on every basis label."""
     n = H.max_degree if up_to is None else up_to
     rep = Report(f"delta-factorization({H.name})")
     ib = lambda x: idbar(H, x)
-    for label in H.basis.labels_up_to(n):
+
+    def failure(label):
         lhs = reduced_coproduct_label(H, label)
         rhs = Tensor2Element.lincomb(
             H.basis, H.ring,
             ((c, ib(H.element(a)), ib(H.element(b)))
              for (a, b), c in H.coproduct_of_label(label).coeffs.items()))
-        if lhs != rhs:
-            rep.add("factorization", "delta = (idbar(x)idbar) o coproduct",
-                    FAIL, witness_of(label, lhs - rhs))
-            return rep
-    rep.add("factorization", "delta = (idbar(x)idbar) o coproduct", PASS)
+        return None if lhs == rhs else witness_of(label, lhs - rhs)
+
+    rep.first_failure("factorization", "delta = (idbar(x)idbar) o coproduct",
+                      H.basis.labels_up_to(n), failure)
     return rep
 
 
@@ -80,17 +89,10 @@ def verify_delta_degree_bound(H: HopfPresentation,
     """Support of delta on degree n sits in bidegrees (i, n-i), 1 <= i <= n-1."""
     n = H.max_degree if up_to is None else up_to
     rep = Report(f"delta-degree-bound({H.name})")
-    for d in range(1, n + 1):
-        allowed = {(i, d - i) for i in range(1, d)}
-        for label in H.basis.labels_of_degree(d):
-            support = reduced_coproduct_label(H, label).bidegree_support()
-            if not support <= allowed:
-                rep.add("degree-bound",
-                        "delta(H_n) supported in degrees (i, n-i), 0 < i < n",
-                        FAIL, witness_of(label, sorted(support - allowed)))
-                return rep
-    rep.add("degree-bound",
-            "delta(H_n) supported in degrees (i, n-i), 0 < i < n", PASS)
+    rep.first_failure(
+        "degree-bound", "delta(H_n) supported in degrees (i, n-i), 0 < i < n",
+        H.basis.labels_between(1, n),
+        lambda l: middle_bidegree_failure(l, reduced_coproduct_label(H, l)))
     return rep
 
 
@@ -102,23 +104,19 @@ def verify_prim_characterization(H: HopfPresentation, seed: int = 0,
 
     vectors = [H.element(l) for l in H.basis.labels_up_to(n)]
     vectors += random_elements(H, count=8, seed=seed, max_degree=n)
-    bad = None
-    for x in vectors:
+
+    def membership_failure(x):
         lhs = is_primitive(H, x)
         rhs = reduced_coproduct(H, x).is_zero() and H.counit(x).is_zero()
-        if lhs != rhs:
-            bad = witness_of(x)
-            break
-    rep.add("membership", "primitive(x) <=> delta(x) = 0 and counit(x) = 0",
-            FAIL if bad else PASS, bad)
+        return None if lhs == rhs else witness_of(x)
 
-    bad = None
-    for x in vectors:
-        if is_primitive(H, x) and not H.counit(x).is_zero():
-            bad = witness_of(x, H.counit(x))
-            break
-    rep.add("primitive-counit", "counit vanishes on primitives",
-            FAIL if bad else PASS, bad)
+    rep.first_failure("membership",
+                      "primitive(x) <=> delta(x) = 0 and counit(x) = 0",
+                      vectors, membership_failure)
+    rep.first_failure(
+        "primitive-counit", "counit vanishes on primitives", vectors,
+        lambda x: witness_of(x, H.counit(x))
+        if is_primitive(H, x) and not H.counit(x).is_zero() else None)
 
     one_in_kernel = reduced_coproduct(H, H.unit()).is_zero()
     rep.add("unit-in-kernel", "delta(1) = 0",
@@ -130,18 +128,18 @@ def verify_prim_characterization(H: HopfPresentation, seed: int = 0,
                 "over a field: Ker delta on positive degrees is primitive",
                 NOT_CHECKED)
         return rep
-    for d in range(1, n + 1):
+
+    def kernel_of_degree(d):
         labels = H.basis.labels_of_degree(d)
         columns = {l: reduced_coproduct_label(H, l).coeffs for l in labels}
-        for vec in kernel_vectors(columns, labels, H.ring):
-            x = Element(H.basis, H.ring, vec)
-            if not is_primitive(H, x):
-                rep.add("kernel-primitive",
-                        "over a field: Ker delta on positive degrees is primitive",
-                        FAIL, witness_of(x))
-                return rep
-    rep.add("kernel-primitive",
-            "over a field: Ker delta on positive degrees is primitive", PASS)
+        return kernel_vectors(columns, labels, H.ring)
+
+    rep.first_failure(
+        "kernel-primitive",
+        "over a field: Ker delta on positive degrees is primitive",
+        (Element(H.basis, H.ring, vec)
+         for d in range(1, n + 1) for vec in kernel_of_degree(d)),
+        lambda x: None if is_primitive(H, x) else witness_of(x))
     return rep
 
 

@@ -39,14 +39,25 @@ class Report:
     def add(self, claim, statement, status, witness=None):
         self.checks.append(Check(claim, statement, status, witness))
 
-    def per_label(self, claim, statement, labels, predicate):
-        """Add one check: FAIL with the first label failing ``predicate``
-        as witness, PASS when every label satisfies it."""
-        for label in labels:
-            if not predicate(label):
-                self.add(claim, statement, FAIL, witness_of(label))
-                return
+    def first_failure(self, claim, statement, items, failure) -> bool:
+        """Add one check over ``items``: ``failure(item)`` returns None when
+        the item passes, else its witness.  FAIL with the first witness,
+        PASS when every item passes; return whether it passed.  Items after
+        the first failure are not examined."""
+        for item in items:
+            bad = failure(item)
+            if bad is not None:
+                self.add(claim, statement, FAIL, bad)
+                return False
         self.add(claim, statement, PASS)
+        return True
+
+    def per_label(self, claim, statement, labels, predicate) -> bool:
+        """``first_failure`` with the first label failing ``predicate`` as
+        witness."""
+        return self.first_failure(
+            claim, statement, labels,
+            lambda label: None if predicate(label) else witness_of(label))
 
     def ok(self) -> bool:
         return all(c.status in _OK_STATUSES for c in self.checks)

@@ -11,18 +11,23 @@ instance, ``verify_conclusions`` checks the conclusions exactly, and
 that drives the proof.
 
 The suites below specialize to connected presentations with e, f drawn
-from even powers of the antipode.
+from even powers of the antipode.  Every nilpotency claim, in the theorem
+and in its corollaries, says that g^k sends a degree block into a target
+subspace and that g^(k+1) kills it; ``chain_checks`` is the one engine
+that checks such claims, and each suite declares its claims over it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import StructuralError
 from .gmod import Element, GradedBasis, GradedMap, Tensor2Element, kernel_vectors
 from .hopf import HopfPresentation
 from .rings import Ring, binomial
-from .reduced import is_primitive, reduced_coproduct_label
+from .reduced import (is_primitive, middle_bidegree_failure,
+                      reduced_coproduct_label)
 from .report import (EXPECTED_NONIDENTITY, FAIL, NOT_CHECKED, PASS, Report,
                      witness_of)
 
@@ -45,8 +50,7 @@ class PreCoalgebraInstance:
     p: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise StructuralError("p must be a positive integer")
+        require_positive_p(self.p)
         missing = [l for l in self.basis.labels if l not in self.delta]
         if missing:
             raise StructuralError(f"delta undefined on labels {missing[:3]}")
@@ -103,58 +107,99 @@ def check_hypotheses(I: PreCoalgebraInstance) -> Report:
                   lambda l: f(e(Element.basis_vector(I.basis, I.ring, l)))
                   == e(f(Element.basis_vector(I.basis, I.ring, l))))
 
-    low = [l for d in range(1, I.p + 1) for l in I.basis.labels_of_degree(d)]
-    rep.per_label("annihilation", "(e-f)(D_1 + ... + D_p) = 0", low,
+    rep.per_label("annihilation", "(e-f)(D_1 + ... + D_p) = 0",
+                  I.basis.labels_between(1, I.p),
                   lambda l: g(Element.basis_vector(I.basis, I.ring, l)).is_zero())
-
-    bad = None
-    for n in range(I.p + 1, I.basis.max_degree + 1):
-        allowed = {(i, n - i) for i in range(1, n)}
-        for label in I.basis.labels_of_degree(n):
-            support = I.delta[label].bidegree_support()
-            if not support <= allowed:
-                bad = witness_of(label, sorted(support - allowed))
-                break
-        if bad:
-            break
-    rep.add("grading", "delta(D_n) supported in sum of D_i (x) D_(n-i), 0 < i < n",
-            FAIL if bad else PASS, bad)
+    rep.first_failure(
+        "grading", "delta(D_n) supported in sum of D_i (x) D_(n-i), 0 < i < n",
+        I.basis.labels_between(I.p + 1, I.basis.max_degree),
+        lambda l: middle_bidegree_failure(l, I.delta[l]))
 
     if not I.ring.is_field:
         rep.add("kernel", "Ker delta contained in Ker(e-f)", NOT_CHECKED,
                 f"ring {I.ring} is not a field")
         return rep
     columns = {l: I.delta[l].coeffs for l in I.basis.labels}
-    bad = None
-    for vec in kernel_vectors(columns, I.basis.labels, I.ring):
-        x = Element(I.basis, I.ring, vec)
-        if not g(x).is_zero():
-            bad = witness_of(x, g(x))
-            break
-    rep.add("kernel", "Ker delta contained in Ker(e-f)",
-            FAIL if bad else PASS, bad)
+    rep.first_failure(
+        "kernel", "Ker delta contained in Ker(e-f)",
+        (Element(I.basis, I.ring, vec)
+         for vec in kernel_vectors(columns, I.basis.labels, I.ring)),
+        lambda x: None if g(x).is_zero() else witness_of(x, g(x)))
     return rep
+
+
+def require_positive_p(p):
+    """The annihilation bound p of the theorem and its corollaries."""
+    if not isinstance(p, int) or p < 1:
+        raise StructuralError("p must be a positive integer")
+
+
+def _nonzero(y: Element):
+    """A chain check's failure for "y = 0": None when y is zero, else y."""
+    return None if y.is_zero() else y
+
+
+def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
+                 filtered: bool = False, up_to: int | None = None):
+    """Add one check to ``rep`` per declaration ``(claim, statement,
+    first_u, shift, failure)``.
+
+    For each u from ``first_u`` up to ``up_to`` (default: the top degree)
+    the check tests ``y = g^(u-p+shift)(x)``, where x runs over the labels
+    of degree u, or of degree <= u when ``filtered`` is set; declarations
+    keep ``u-p+shift >= 0``.  ``failure(y)`` returns None when y passes,
+    else the value to put in the witness.
+
+    Each label's chain x, g(x), g^2(x), ... is walked once, only as far as
+    some check still needs it, and then dropped.  It stops at its first
+    zero: every target is a subspace and every extra annihilator is
+    linear, so a zero y always passes and ``failure`` is never called on
+    one.  The witness is the failure with the least (u, label position),
+    the first one a u-major scan meets.  It names the label, or
+    ``(label, u)`` in filtered scope.
+    """
+    require_positive_p(p)
+    basis = g.basis
+    top = basis.max_degree if up_to is None else min(up_to, basis.max_degree)
+    # per check: the least u failed so far (top + 1 while none), its witness
+    failed_u = [top + 1] * len(checks)
+    witness = [None] * len(checks)
+    lowest = 0 if filtered else min(check[2] for check in checks)
+    for label in basis.labels_between(lowest, top):
+        d = basis.degree_of(label)
+        # per check still open on this label: the range of u left to test
+        todo = {}
+        for i, (_, _, first_u, shift, failure) in enumerate(checks):
+            lo, hi = max(first_u, d), min(top if filtered else d, failed_u[i] - 1)
+            if lo <= hi:
+                todo[i] = (lo, hi, shift, failure)
+        y, k = Element.basis_vector(basis, g.ring, label), 0
+        while todo and not y.is_zero():
+            for i, (lo, hi, shift, failure) in list(todo.items()):
+                u = k + p - shift
+                if u < lo:
+                    continue
+                value = failure(y)
+                if value is not None:
+                    failed_u[i] = u
+                    witness[i] = witness_of((label, u) if filtered else label,
+                                            value)
+                if value is not None or u == hi:
+                    del todo[i]
+            if todo:
+                y, k = g(y), k + 1
+    for (claim, statement, _, _, _), bad in zip(checks, witness):
+        rep.add(claim, statement, FAIL if bad else PASS, bad)
 
 
 def verify_conclusions(I: PreCoalgebraInstance,
                        up_to: int | None = None) -> Report:
     rep = Report(f"theorem-conclusions({I.name})")
-    U = I.basis.max_degree if up_to is None else up_to
-    g = I.g
-    bad_ker = bad_nil = None
-    for u in range(I.p + 1, U + 1):
-        for label in I.basis.labels_of_degree(u):
-            y = Element.basis_vector(I.basis, I.ring, label)
-            for _ in range(u - I.p):
-                y = g(y)
-            if bad_ker is None and not I.delta_apply(y).is_zero():
-                bad_ker = witness_of(label, I.delta_apply(y))
-            if bad_nil is None and not g(y).is_zero():
-                bad_nil = witness_of(label, g(y))
-    rep.add("into-kernel", "(e-f)^(u-p)(D_u) contained in Ker delta",
-            FAIL if bad_ker else PASS, bad_ker)
-    rep.add("nilpotency", "(e-f)^(u-p+1)(D_u) = 0",
-            FAIL if bad_nil else PASS, bad_nil)
+    chain_checks(rep, I.g, I.p, (
+        ("into-kernel", "(e-f)^(u-p)(D_u) contained in Ker delta", I.p + 1, 0,
+         lambda y: _nonzero(I.delta_apply(y))),
+        ("nilpotency", "(e-f)^(u-p+1)(D_u) = 0", I.p + 1, 1, _nonzero),
+    ), up_to=up_to)
     return rep
 
 
@@ -176,16 +221,15 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
     f_pows = [f.power(k) for k in range(K + 1)]
     g_pows = [g.power(k) for k in range(K + 1)]
 
-    bad = None
-    for i in range(K + 1):
-        for j in range(K + 1):
-            if g_pows[i].compose(e_pows[j]) != e_pows[j].compose(g_pows[i]):
-                bad = witness_of((i, j))
-                break
-        if bad:
-            break
-    rep.add("power-commutation", "g^i o e^j = e^j o g^i",
-            FAIL if bad else PASS, bad)
+    def commutation_failure(ij):
+        i, j = ij
+        if g_pows[i].compose(e_pows[j]) == e_pows[j].compose(g_pows[i]):
+            return None
+        return witness_of(ij)
+
+    rep.first_failure("power-commutation", "g^i o e^j = e^j o g^i",
+                      itertools.product(range(K + 1), repeat=2),
+                      commutation_failure)
 
     gf = g.tensor(f)
     eg = e.tensor(g)
@@ -227,13 +271,26 @@ def _coalgebra_endo_ok(H: HopfPresentation, phi: GradedMap, label: str) -> bool:
     return H.counit(phi(H.element(label))) == H.counit_of_label(label)
 
 
+def _non_primitive(H: HopfPresentation):
+    """A chain check's failure for "y is primitive"; ``is_primitive`` is
+    looked up at call time, so a wrapper installed on it is seen."""
+    return lambda y: None if is_primitive(H, y) else y
+
+
+def _antipode_chain_maps(H: HopfPresentation):
+    """g = id - S^2 and the extra annihilator id + S of its chains."""
+    S = H.antipode()
+    ident = GradedMap.identity(H.basis, H.ring)
+    return ident - S.compose(S), ident + S
+
+
 def suite_corollary_filtered(H: HopfPresentation, e: GradedMap, f: GradedMap,
                              p: int) -> Report:
     """Filtered-coalgebra corollary: (e-f)^(u-p) lands in primitives and
     (e-f)^(u-p+1) annihilates the filtration step, given the hypotheses."""
+    require_positive_p(p)
     H.require_connected()
     rep = Report(f"filtered-corollary({H.name},p={p})")
-    N = H.max_degree
 
     for claim, phi in (("e-endomorphism", e), ("f-endomorphism", f)):
         if phi(H.unit()) != H.unit():
@@ -251,34 +308,13 @@ def suite_corollary_filtered(H: HopfPresentation, e: GradedMap, f: GradedMap,
                 NOT_CHECKED)
         return rep
 
-    chains = {}
-    for label in H.basis.labels_up_to(N):
-        chain = [H.element(label)]
-        for _ in range(N - p + 1):
-            chain.append(g(chain[-1]))
-        chains[label] = chain
-
-    bad = None
-    for u in range(p + 1, N + 1):
-        for label in H.basis.labels_up_to(u):
-            if not is_primitive(H, chains[label][u - p]):
-                bad = witness_of((label, u), chains[label][u - p])
-                break
-        if bad:
-            break
-    rep.add("into-primitives", "(e-f)^(u-p) of the u-th filtration step is primitive",
-            FAIL if bad else PASS, bad)
-
-    bad = None
-    for u in range(p, N + 1):
-        for label in H.basis.labels_up_to(u):
-            if not chains[label][u - p + 1].is_zero():
-                bad = witness_of((label, u), chains[label][u - p + 1])
-                break
-        if bad:
-            break
-    rep.add("nilpotency", "(e-f)^(u-p+1) annihilates the u-th filtration step",
-            FAIL if bad else PASS, bad)
+    chain_checks(rep, g, p, (
+        ("into-primitives",
+         "(e-f)^(u-p) of the u-th filtration step is primitive", p + 1, 0,
+         _non_primitive(H)),
+        ("nilpotency", "(e-f)^(u-p+1) annihilates the u-th filtration step",
+         p, 1, _nonzero),
+    ), filtered=True)
     return rep
 
 
@@ -286,54 +322,33 @@ def suite_graded_hopf(H: HopfPresentation) -> Report:
     """Per-degree claims for id - S^2 on a connected graded presentation."""
     H.require_connected()
     rep = Report(f"graded-hopf({H.name})")
-    S = H.antipode()
-    ident = GradedMap.identity(H.basis, H.ring)
-    g = ident - S.compose(S)
-    id_plus_S = ident + S
-
-    bad_prim = bad_killed = bad_nil = None
-    for u in range(1, H.max_degree + 1):
-        for label in H.basis.labels_of_degree(u):
-            y = H.element(label)
-            for _ in range(u - 1):
-                y = g(y)
-            if bad_prim is None and not is_primitive(H, y):
-                bad_prim = witness_of(label, y)
-            if bad_killed is None and not id_plus_S(y).is_zero():
-                bad_killed = witness_of(label, id_plus_S(y))
-            if bad_nil is None and not g(y).is_zero():
-                bad_nil = witness_of(label, g(y))
-    rep.add("into-primitives", "(id-S^2)^(u-1)(H_u) contained in Prim",
-            FAIL if bad_prim else PASS, bad_prim)
-    rep.add("killed-by-id-plus-S", "((id+S) o (id-S^2)^(u-1))(H_u) = 0",
-            FAIL if bad_killed else PASS, bad_killed)
-    rep.add("nilpotency", "(id-S^2)^u(H_u) = 0",
-            FAIL if bad_nil else PASS, bad_nil)
+    g, id_plus_S = _antipode_chain_maps(H)
+    chain_checks(rep, g, 1, (
+        ("into-primitives", "(id-S^2)^(u-1)(H_u) contained in Prim", 1, 0,
+         _non_primitive(H)),
+        ("killed-by-id-plus-S", "((id+S) o (id-S^2)^(u-1))(H_u) = 0", 1, 0,
+         lambda y: _nonzero(id_plus_S(y))),
+        ("nilpotency", "(id-S^2)^u(H_u) = 0", 1, 1, _nonzero),
+    ))
     return rep
 
 
 def suite_lowered_exponent(H: HopfPresentation, p: int) -> Report:
     """Lowered-exponent corollary: if (id-S^2) kills H_2..H_p then
     (id-S^2)^(u-p+1) kills degrees <= u, with primitives in between."""
+    require_positive_p(p)
     H.require_connected()
     rep = Report(f"lowered-exponent({H.name},p={p})")
-    S = H.antipode()
-    ident = GradedMap.identity(H.basis, H.ring)
-    g = ident - S.compose(S)
-    id_plus_S = ident + S
+    g, id_plus_S = _antipode_chain_maps(H)
     N = H.max_degree
 
-    bad = None
-    for i in range(2, p + 1):
-        for label in H.basis.labels_of_degree(i):
-            y = g(H.element(label))
-            if not y.is_zero():
-                bad = witness_of(label, y)
-                break
-        if bad:
-            break
-    rep.add("premise", "(id-S^2) annihilates H_i for 2 <= i <= p",
-            FAIL if bad else PASS, bad)
+    def premise_failure(label):
+        y = g(H.element(label))
+        return None if y.is_zero() else witness_of(label, y)
+
+    premise_ok = rep.first_failure(
+        "premise", "(id-S^2) annihilates H_i for 2 <= i <= p",
+        H.basis.labels_between(2, p), premise_failure)
 
     if p == 2 and 2 <= N:
         comm_bad = None
@@ -354,36 +369,19 @@ def suite_lowered_exponent(H: HopfPresentation, p: int) -> Report:
                     NOT_CHECKED,
                     f"condition absent ({comm_bad}); it is sufficient, not necessary")
 
-    if bad:
+    if not premise_ok:
         rep.add("conclusions", "skipped: premise failed", NOT_CHECKED)
         return rep
 
-    chains = {}
-    for label in H.basis.labels_up_to(N):
-        chain = [H.element(label)]
-        for _ in range(N - p + 1):
-            chain.append(g(chain[-1]))
-        chains[label] = chain
-
-    bad_prim = bad_killed = bad_nil = None
-    for u in range(p + 1, N + 1):
-        for label in H.basis.labels_up_to(u):
-            y = chains[label][u - p]
-            if bad_prim is None and not is_primitive(H, y):
-                bad_prim = witness_of((label, u), y)
-            if bad_killed is None and not id_plus_S(y).is_zero():
-                bad_killed = witness_of((label, u), id_plus_S(y))
-    for u in range(p, N + 1):
-        for label in H.basis.labels_up_to(u):
-            if bad_nil is None and not chains[label][u - p + 1].is_zero():
-                bad_nil = witness_of((label, u), chains[label][u - p + 1])
-    rep.add("into-primitives", "(id-S^2)^(u-p) of degrees <= u is primitive",
-            FAIL if bad_prim else PASS, bad_prim)
-    rep.add("killed-by-id-plus-S",
-            "((id+S) o (id-S^2)^(u-p)) annihilates degrees <= u",
-            FAIL if bad_killed else PASS, bad_killed)
-    rep.add("nilpotency", "(id-S^2)^(u-p+1) annihilates degrees <= u",
-            FAIL if bad_nil else PASS, bad_nil)
+    chain_checks(rep, g, p, (
+        ("into-primitives", "(id-S^2)^(u-p) of degrees <= u is primitive",
+         p + 1, 0, _non_primitive(H)),
+        ("killed-by-id-plus-S",
+         "((id+S) o (id-S^2)^(u-p)) annihilates degrees <= u", p + 1, 0,
+         lambda y: _nonzero(id_plus_S(y))),
+        ("nilpotency", "(id-S^2)^(u-p+1) annihilates degrees <= u", p, 1,
+         _nonzero),
+    ), filtered=True)
     return rep
 
 
@@ -410,33 +408,27 @@ def suite_antipode_props(H: HopfPresentation) -> Report:
                       H.basis.labels_of_degree(1),
                       lambda l: S2(H.element(l)) == H.element(l))
         if 2 <= H.max_degree:
-            bad = None
-            for l1 in H.basis.labels_of_degree(1):
-                for l2 in H.basis.labels_of_degree(1):
-                    lhs = S(H.product_of_labels(l1, l2))
-                    rhs = H.product_of_labels(l2, l1)
-                    if lhs != rhs:
-                        bad = witness_of((l1, l2), lhs)
-                        break
-                if bad:
-                    break
-            rep.add("degree-1-antimorphism", "S(ab) = ba on degree-1 pairs",
-                    FAIL if bad else PASS, bad)
-        bad = None
-        for d in range(1, H.max_degree + 1):
-            allowed = {(k, d - k) for k in range(1, d)}
-            for label in H.basis.labels_of_degree(d):
-                w = (H.coproduct_of_label(label)
-                     - H.element(label).tensor(H.unit())
-                     - H.unit().tensor(H.element(label)))
-                if not w.bidegree_support() <= allowed:
-                    bad = witness_of(label, sorted(w.bidegree_support() - allowed))
-                    break
-            if bad:
-                break
-        rep.add("coproduct-shape",
-                "coproduct(x) = 1(x)x + x(x)1 + middle terms",
-                FAIL if bad else PASS, bad)
+            def antimorphism_failure(pair):
+                lhs = S(H.product_of_labels(*pair))
+                return (None if lhs == H.product_of_labels(pair[1], pair[0])
+                        else witness_of(pair, lhs))
+
+            degree_one = H.basis.labels_of_degree(1)
+            rep.first_failure("degree-1-antimorphism",
+                              "S(ab) = ba on degree-1 pairs",
+                              itertools.product(degree_one, repeat=2),
+                              antimorphism_failure)
+
+        def shape_failure(label):
+            x = H.element(label)
+            middle = (H.coproduct_of_label(label) - x.tensor(H.unit())
+                      - H.unit().tensor(x))
+            return middle_bidegree_failure(label, middle)
+
+        rep.first_failure("coproduct-shape",
+                          "coproduct(x) = 1(x)x + x(x)1 + middle terms",
+                          H.basis.labels_between(1, H.max_degree),
+                          shape_failure)
     else:
         rep.add("degree-1-negated", "S(x) = -x on degree 1", NOT_CHECKED,
                 "presentation is not connected")
@@ -463,10 +455,11 @@ def suite_oracle_agreement(H: HopfPresentation) -> Report:
         return rep
     S = H.antipode()
     T = H.antipode_oracle()
-    bad = next((l for l in H.basis.labels if S.images[l] != T.images[l]), None)
-    rep.add("agreement", "left-recursion antipode equals right-recursion antipode",
-            FAIL if bad else PASS,
-            None if bad is None else witness_of(bad, (S.images[bad], T.images[bad])))
+    rep.first_failure(
+        "agreement", "left-recursion antipode equals right-recursion antipode",
+        H.basis.labels,
+        lambda l: None if S.images[l] == T.images[l]
+        else witness_of(l, (S.images[l], T.images[l])))
     return rep
 
 

@@ -3,11 +3,13 @@
 import pytest
 
 from hopfcheck.errors import StructuralError
-from hopfcheck.gmod import Element, GradedMap
+from hopfcheck.gmod import Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
 from hopfcheck.rings import QQ, ZZ, ModRing
+from hopfcheck.report import Report
 from hopfcheck.verify import (PreCoalgebraInstance, binomial_identity_check,
-                              check_hypotheses, instance_from_hopf,
+                              chain_checks, check_hypotheses,
+                              instance_from_hopf,
                               suite_antipode_props, suite_corollary_filtered,
                               suite_graded_hopf, suite_lowered_exponent,
                               suite_oracle_agreement, suite_taft_remark,
@@ -82,6 +84,51 @@ def test_p_must_be_positive(abcQ):
     with pytest.raises(StructuralError):
         PreCoalgebraInstance(inst.name, inst.basis, inst.ring, inst.delta,
                              inst.e, inst.f, 0)
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_suites_reject_nonpositive_p(abc, p):
+    S = abc.antipode()
+    ident = GradedMap.identity(abc.basis, abc.ring)
+    with pytest.raises(StructuralError, match="p must be a positive integer"):
+        suite_lowered_exponent(abc, p)
+    with pytest.raises(StructuralError, match="p must be a positive integer"):
+        suite_corollary_filtered(abc, ident, S.compose(S), p)
+
+
+# --- the chain engine ------------------------------------------------------
+
+def test_chain_engine_witness_order_and_zero_stop():
+    # filtered scope, p = 1: y = g^(u-1)(x) for x of degree <= u.  The chain
+    # of 'a' fails only at u = 3 (4a); the later label 'b' fails at u = 2
+    # (3b).
+    # A u-major scan meets ('b', 2) first, a label-major one ('a', 3).
+    B = GradedBasis([["1"], ["a", "c"], ["b"], ["d"]])
+    vec = lambda l: Element.basis_vector(B, ZZ, l)
+    zero = Element.zero(B, ZZ)
+    g = GradedMap(B, ZZ, {"1": zero, "a": vec("a").scale(ZZ.embed(2)),
+                          "c": zero, "b": vec("b").scale(ZZ.embed(3)),
+                          "d": vec("d")})
+    flagged = (vec("a").scale(ZZ.embed(4)), vec("b").scale(ZZ.embed(3)))
+    seen = []
+
+    def failure(y):
+        seen.append(y)
+        return y if y in flagged else None
+
+    rep = Report("engine")
+    chain_checks(rep, g, 1, [("claim", "statement", 1, 0, failure)],
+                 filtered=True)
+    (check,) = rep.checks
+    assert check.status == "fail"
+    assert check.witness.startswith("('b', 2) -> ")
+    # chains of '1' and 'c' reach zero after one step: failure is never
+    # called on zero, and no label is tested at u = 3 or later once ('b', 2)
+    # failed, so 'd' is never tested
+    assert seen == [vec("1"), vec("a"), vec("a").scale(ZZ.embed(2)),
+                    vec("a").scale(ZZ.embed(4)), vec("c"),
+                    vec("b").scale(ZZ.embed(3))]
+    assert not any(y.is_zero() for y in seen)
 
 
 def test_exponent_sharpness_at_degree_two(abc):
