@@ -3,7 +3,9 @@
 Elements of the module and of its tensor square are sparse coefficient
 dicts (label -> RingElement, resp. (label, label) -> RingElement) with no
 stored zeros.  Linear maps are stored by their images on basis labels and
-support composition, powers, sums and tensor products.
+support composition, powers and sums; a pair of maps acts on the tensor
+square through :meth:`GradedMap.apply_tensor`, without building the
+tensor-product map.
 
 All coefficient arithmetic on these dicts runs through one kernel,
 :meth:`_Sparse.lincomb`, on raw ring values; ``RingElement`` boxes are made
@@ -291,14 +293,6 @@ class GradedMap:
             out = self.compose(out)
         return out
 
-    def tensor(self, other: "GradedMap") -> "Tensor2Map":
-        self._check(other)
-        images = {}
-        for l1 in self.basis.labels:
-            for l2 in self.basis.labels:
-                images[(l1, l2)] = self.images[l1].tensor(other.images[l2])
-        return Tensor2Map(self.basis, self.ring, images)
-
     def apply_tensor(self, other: "GradedMap", t: Tensor2Element) -> Tensor2Element:
         """(self (x) other)(t) without materializing the tensor map."""
         self._check(other)
@@ -318,7 +312,13 @@ class GradedMap:
 
 
 class Tensor2Map:
-    """A linear endomap of the tensor square, by images on label pairs."""
+    """A linear endomap of the tensor square, by images on label pairs.
+
+    Nothing in the package builds one: operators on the tensor square are
+    checked on basis pairs instead.  The class stays only because the
+    benchmark's layer tracer (``perfbench/tracer.py``) patches its
+    ``__init__`` and ``compose``.
+    """
 
     __slots__ = ("basis", "ring", "images")
 
@@ -326,14 +326,6 @@ class Tensor2Map:
         self.basis = basis
         self.ring = ring
         self.images = images
-
-    @classmethod
-    def identity(cls, basis, ring):
-        images = {}
-        for l1 in basis.labels:
-            for l2 in basis.labels:
-                images[(l1, l2)] = Tensor2Element(basis, ring, {(l1, l2): ring.one})
-        return cls(basis, ring, images)
 
     def _check(self, other):
         if not _same_module(self, other):
@@ -349,35 +341,6 @@ class Tensor2Map:
         self._check(other)
         return Tensor2Map(self.basis, self.ring,
                           {pair: self(img) for pair, img in other.images.items()})
-
-    def __add__(self, other):
-        self._check(other)
-        return Tensor2Map(self.basis, self.ring,
-                          {p: self.images[p] + other.images[p] for p in self.images})
-
-    def __sub__(self, other):
-        self._check(other)
-        return Tensor2Map(self.basis, self.ring,
-                          {p: self.images[p] - other.images[p] for p in self.images})
-
-    def scale(self, c):
-        c = self.ring.element(c)
-        return Tensor2Map(self.basis, self.ring,
-                          {p: img.scale(c) for p, img in self.images.items()})
-
-    def power(self, k: int) -> "Tensor2Map":
-        if k < 0:
-            raise StructuralError("negative map power")
-        out = Tensor2Map.identity(self.basis, self.ring)
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2Map):
-            return NotImplemented
-        return (self.basis == other.basis and self.ring == other.ring
-                and self.images == other.images)
 
 
 def kernel_vectors(columns: dict, keys, ring: Ring):

@@ -40,12 +40,10 @@ def is_primitive(H: HopfPresentation, x: Element) -> bool:
     return H.coproduct(x) == x.tensor(one) + one.tensor(x)
 
 
-def random_elements(H: HopfPresentation, count: int, seed: int,
-                    max_degree: int | None = None):
+def random_elements(H: HopfPresentation, count: int, seed: int):
     """Reproducible small combinations with coefficients in {-2..2}."""
     rng = random.Random(seed)
-    labels = H.basis.labels_up_to(
-        H.max_degree if max_degree is None else max_degree)
+    labels = H.basis.labels
     out = []
     for _ in range(count):
         x = H.zero()
@@ -64,10 +62,8 @@ def middle_bidegree_failure(label: str, t: Tensor2Element):
     return witness_of(label, sorted(outside)) if outside else None
 
 
-def verify_delta_factorization(H: HopfPresentation,
-                               up_to: int | None = None) -> Report:
+def verify_delta_factorization(H: HopfPresentation) -> Report:
     """delta = (idbar (x) idbar) o coproduct on every basis label."""
-    n = H.max_degree if up_to is None else up_to
     rep = Report(f"delta-factorization({H.name})")
     ib = lambda x: idbar(H, x)
 
@@ -80,30 +76,26 @@ def verify_delta_factorization(H: HopfPresentation,
         return None if lhs == rhs else witness_of(label, lhs - rhs)
 
     rep.first_failure("factorization", "delta = (idbar(x)idbar) o coproduct",
-                      H.basis.labels_up_to(n), failure)
+                      H.basis.labels, failure)
     return rep
 
 
-def verify_delta_degree_bound(H: HopfPresentation,
-                              up_to: int | None = None) -> Report:
+def verify_delta_degree_bound(H: HopfPresentation) -> Report:
     """Support of delta on degree n sits in bidegrees (i, n-i), 1 <= i <= n-1."""
-    n = H.max_degree if up_to is None else up_to
     rep = Report(f"delta-degree-bound({H.name})")
     rep.first_failure(
         "degree-bound", "delta(H_n) supported in degrees (i, n-i), 0 < i < n",
-        H.basis.labels_between(1, n),
+        H.basis.labels_between(1, H.max_degree),
         lambda l: middle_bidegree_failure(l, reduced_coproduct_label(H, l)))
     return rep
 
 
-def verify_prim_characterization(H: HopfPresentation, seed: int = 0,
-                                 up_to: int | None = None) -> Report:
+def verify_prim_characterization(H: HopfPresentation, seed: int = 0) -> Report:
     """Primitive <=> killed by both delta and the counit; kernel side over fields."""
-    n = H.max_degree if up_to is None else up_to
     rep = Report(f"prim-characterization({H.name})")
 
-    vectors = [H.element(l) for l in H.basis.labels_up_to(n)]
-    vectors += random_elements(H, count=8, seed=seed, max_degree=n)
+    vectors = [H.element(l) for l in H.basis.labels]
+    vectors += random_elements(H, count=8, seed=seed)
 
     def membership_failure(x):
         lhs = is_primitive(H, x)
@@ -138,15 +130,14 @@ def verify_prim_characterization(H: HopfPresentation, seed: int = 0,
         "kernel-primitive",
         "over a field: Ker delta on positive degrees is primitive",
         (Element(H.basis, H.ring, vec)
-         for d in range(1, n + 1) for vec in kernel_of_degree(d)),
+         for d in range(1, H.max_degree + 1) for vec in kernel_of_degree(d)),
         lambda x: None if is_primitive(H, x) else witness_of(x))
     return rep
 
 
-def delta_kernel_vectors(H: HopfPresentation, up_to: int | None = None):
-    """Spanning vectors of Ker delta across all degrees <= up_to (field only)."""
-    n = H.max_degree if up_to is None else up_to
-    labels = H.basis.labels_up_to(n)
+def delta_kernel_vectors(H: HopfPresentation):
+    """Spanning vectors of Ker delta across all degrees (field only)."""
+    labels = H.basis.labels
     columns = {l: reduced_coproduct_label(H, l).coeffs for l in labels}
     if not H.ring.is_field:
         raise UnsupportedRingError(f"kernel of delta needs a field, got {H.ring}")

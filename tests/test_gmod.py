@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                            kernel_vectors)
+                            Tensor2Map, kernel_vectors)
 from hopfcheck.rings import QQ, ZZ, ModRing
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
@@ -149,19 +149,17 @@ def test_power_additivity(f, a, b):
     assert f.power(a + b) == f.power(a).compose(f.power(b))
 
 
-@given(f=rand_maps(ModRing(5)), g=rand_maps(ModRing(5)),
-       f2=rand_maps(ModRing(5)), g2=rand_maps(ModRing(5)))
-def test_tensor_functoriality(f, g, f2, g2):
-    lhs = f.tensor(g).compose(f2.tensor(g2))
-    rhs = f.compose(f2).tensor(g.compose(g2))
-    assert lhs == rhs
-
-
 def test_apply_tensor_matches_materialized():
     f = swap_map(QQ)
     g = GradedMap.identity(B, QQ).scale(QQ.embed(3))
     t = vec(QQ, x=1).tensor(vec(QQ, y=2, u=5))
-    assert f.apply_tensor(g, t) == f.tensor(g)(t)
+    fg = Tensor2Map(B, QQ, {(a, b): f.images[a].tensor(g.images[b])
+                            for a in B.labels for b in B.labels})
+    # f(x) = y and g = 3 id
+    expected = Tensor2Element(B, QQ, {("y", "y"): QQ.embed(6),
+                                      ("y", "u"): QQ.embed(15)})
+    assert f.apply_tensor(g, t) == expected
+    assert fg(t) == expected
 
 
 # --- kernels ---------------------------------------------------------------

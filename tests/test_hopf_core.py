@@ -151,9 +151,10 @@ def test_corrupted_coproduct_detected(abc):
 
     broken = HopfPresentation("broken", abc.basis, ZZ, abc.product_of_labels,
                               bad_coproduct, {UNIT: ZZ.one}, UNIT)
-    rep = broken.verify_bialgebra(up_to=3)
+    rep = broken.verify_bialgebra()
     assert not rep.ok()
-    assert rep.failures()
+    assert {"coassociativity", "coproduct-multiplicative"} <= {
+        c.claim for c in rep.failures()}
 
 
 def test_antipode_axioms_pass(abc, fq):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hopfcheck import verify
 from hopfcheck.errors import StructuralError
 from hopfcheck.gmod import Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
@@ -161,10 +162,24 @@ def test_id_plus_s_kills_primitives(abc):
 
 # --- binomial identity -----------------------------------------------------
 
-def test_binomial_identity_mod5():
+@pytest.mark.parametrize("e, f", [("id", "S2"), ("S2", "S4"), ("id", "S4")])
+def test_binomial_identity_mod5(e, f):
     H = free_example_abc(ModRing(5), 3)
-    inst = instance_from_hopf(H, "id", "S2", 1)
+    inst = instance_from_hopf(H, e, f, 1)
     assert binomial_identity_check(inst, K=3).ok()
+
+
+def test_binomial_expansion_fails_with_wrong_coefficients(monkeypatch):
+    """With every C(k,r) replaced by 1 the expansion first breaks at k = 2,
+    where C(2,1) = 2; the other three checks do not use the coefficients."""
+    monkeypatch.setattr(verify, "binomial", lambda k, r: 1)
+    H = free_example_abc(ModRing(5), 3)
+    rep = binomial_identity_check(instance_from_hopf(H, "id", "S2", 1), K=3)
+    assert statuses(rep) == {"precondition": "pass",
+                             "power-commutation": "pass",
+                             "tensor-commutation": "pass",
+                             "binomial-expansion": "fail"}
+    assert rep.failures()[0].witness == "2"
 
 
 def test_binomial_identity_detects_noncommuting():
