@@ -9,13 +9,18 @@ tensor-product map.
 
 All coefficient arithmetic on these dicts runs through one kernel,
 :meth:`_Sparse.lincomb`, on raw ring values; ``RingElement`` boxes are made
-only for the coefficients it returns.
+only for the coefficients it returns.  Iterating one map on one degree, as
+the nilpotency chains do, runs on a :class:`DegreeBlock` instead: raw rows
+and one ``Ring._dot`` per touched row.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import StructuralError, UnsupportedRingError
-from .rings import Ring, RingElement
+from .rings import ZZ, RationalRing, Ring, RingElement
 
 
 class GradedBasis:
@@ -288,8 +293,10 @@ class GradedMap:
     def power(self, k: int) -> "GradedMap":
         if k < 0:
             raise StructuralError("negative map power")
-        out = GradedMap.identity(self.basis, self.ring)
-        for _ in range(k):
+        if k == 0:
+            return GradedMap.identity(self.basis, self.ring)
+        out = self
+        for _ in range(k - 1):
             out = self.compose(out)
         return out
 
@@ -309,6 +316,104 @@ class GradedMap:
 
     def __hash__(self):
         raise TypeError("GradedMap is not hashable")
+
+
+class DegreeBlock:
+    """The restriction of a map to one degree, as raw rows for iterating it.
+
+    Row i (the i-th label of the degree) holds the positions j and the raw
+    values of the nonzero entries g[i][j], the coefficient of label i in
+    the image of label j; ``masks[j]`` has bit i set when column j touches
+    row i.  Over ``Q`` every entry is scaled to an integer by the lcm
+    ``scale`` of their denominators, so the rows hold ``int``s and a chain
+    runs on integer vectors z_k with g^k(x) = z_k / scale**k.
+    """
+
+    __slots__ = ("map", "labels", "index", "rows", "masks", "scale", "raw",
+                 "dot", "zero")
+
+    def __init__(self, g: GradedMap, d: int):
+        ring = g.ring
+        self.map = g
+        self.labels = labels = g.basis.labels_of_degree(d)
+        self.index = index = {l: i for i, l in enumerate(labels)}
+        images = [g.images[l].coeffs for l in labels]
+        if isinstance(ring, RationalRing):
+            self.scale = scale = math.lcm(1, *(
+                c.value.denominator for img in images for c in img.values()))
+            self.raw = lambda v: v.numerator * (scale // v.denominator)
+            self.dot, self.zero = ZZ._dot, 0
+        else:
+            self.scale, self.raw = None, lambda v: v
+            self.dot, self.zero = ring._dot, ring._zero
+        cols = [[] for _ in labels]
+        vals = [[] for _ in labels]
+        masks = [0] * len(labels)
+        for j, img in enumerate(images):
+            for l, c in img.items():
+                i = index[l]
+                cols[i].append(j)
+                vals[i].append(self.raw(c.value))
+                masks[j] |= 1 << i
+        self.rows = list(zip(cols, vals))
+        self.masks = masks
+
+    def chain(self, label: str):
+        """Yield g^k(x) for k = 0, 1, 2, ... on the basis vector x of
+        ``label``, stopping before the first zero.
+
+        Each value is a zero-argument function that boxes it into an
+        Element, so a step nobody reads is never boxed.  Step 0 is x and
+        step 1 the stored image; each later step recomputes only the rows
+        that the support of the previous step touches, one ``_dot`` per
+        row.
+        """
+        g = self.map
+        basis, ring = g.basis, g.ring
+        yield lambda: Element.basis_vector(basis, ring, label)
+        image = g.images[label]
+        if image.is_zero():
+            return
+        yield lambda: image
+        rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
+        n = len(self.labels)
+        index, raw = self.index, self.raw
+        y, support = [zero] * n, []
+        for l, c in image.coeffs.items():
+            i = index[l]
+            y[i] = raw(c.value)
+            support.append(i)
+        k = 1
+        while True:
+            touched = 0
+            for j in support:
+                touched |= masks[j]
+            nxt, support = [zero] * n, []
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                i = low.bit_length() - 1
+                cols, vals = rows[i]
+                v = dot(vals, map(y.__getitem__, cols))
+                if v != zero:
+                    nxt[i] = v
+                    support.append(i)
+            if not support:
+                return
+            y, k = nxt, k + 1
+            yield self._boxer(y, support, k)
+
+    def _boxer(self, y, support, k):
+        """The function that boxes step k, stored as y on ``support``."""
+        g, labels = self.map, self.labels
+        ring = g.ring
+        if self.scale is None:
+            return lambda: Element._of(g.basis, ring, {
+                labels[i]: RingElement(ring, y[i]) for i in support})
+        denominator = self.scale ** k
+        return lambda: Element._of(g.basis, ring, {
+            labels[i]: RingElement(ring, Fraction(y[i], denominator))
+            for i in support})
 
 
 class Tensor2Map:

@@ -185,6 +185,19 @@ class Ring:
     def _inv(self, a):
         raise UnsupportedRingError(f"{self} is not a field; no inverses")
 
+    def _dot(self, a, b):
+        """sum_i a_i * b_i over two equally long iterables of raw values.
+
+        This generic fold skips terms with a zero factor; ``Z`` and
+        ``Z/m`` override it with a C-level sum of products.
+        """
+        add, mul, zero = self._add, self._mul, self._zero
+        acc = zero
+        for x, y in zip(a, b):
+            if x != zero and y != zero:
+                acc = add(acc, mul(x, y))
+        return acc
+
     # serialization -------------------------------------------------------
     def format_value(self, value) -> str:
         raise NotImplementedError
@@ -205,6 +218,10 @@ class IntegerRing(Ring):
     _add = staticmethod(operator.add)
     _mul = staticmethod(operator.mul)
     _neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def _dot(a, b):
+        return sum(map(operator.mul, a, b))
 
     def format_value(self, value):
         return str(value)
@@ -281,6 +298,9 @@ class ModRing(Ring):
 
     def _neg(self, a):
         return (-a) % self.m
+
+    def _dot(self, a, b):
+        return sum(map(operator.mul, a, b)) % self.m
 
     def _inv(self, a):
         if not self.is_field:

@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructuralError
-from .gmod import Element, GradedBasis, GradedMap, Tensor2Element, kernel_vectors
+from .gmod import (DegreeBlock, Element, GradedBasis, GradedMap, Tensor2Element,
+                   kernel_vectors)
 from .hopf import HopfPresentation
 from .rings import Ring, binomial
 from .reduced import (is_primitive, middle_bidegree_failure,
@@ -151,15 +152,18 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     ``y = g^(u-p+shift)(x)``, where x runs over the labels of degree u, or
     of degree <= u when ``filtered`` is set; declarations keep
     ``u-p+shift >= 0``.  ``failure(y)`` returns None when y passes,
-    else the value to put in the witness.
+    else the value to put in the witness.  A check whose scope holds no
+    (label, u) compares nothing and is reported not-checked.
 
-    Each label's chain x, g(x), g^2(x), ... is walked once, only as far as
-    some check still needs it, and then dropped.  It stops at its first
-    zero: every target is a subspace and every extra annihilator is
-    linear, so a zero y always passes and ``failure`` is never called on
-    one.  The witness is the failure with the least (u, label position),
-    the first one a u-major scan meets.  It names the label, or
-    ``(label, u)`` in filtered scope.
+    Each label's chain x, g(x), g^2(x), ... is walked once, on the raw
+    :class:`DegreeBlock` of its degree (built once per call), only as far
+    as some check still needs it, and y is boxed into an Element only for
+    the steps a check reads.  The chain stops at its first zero: every
+    target is a subspace and every extra annihilator is linear, so a zero
+    y always passes and ``failure`` is never called on one.  The witness
+    is the failure with the least (u, label position), the first one a
+    u-major scan meets.  It names the label, or ``(label, u)`` in
+    filtered scope.
     """
     require_positive_p(p)
     basis = g.basis
@@ -168,6 +172,7 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     failed_u = [top + 1] * len(checks)
     witness = [None] * len(checks)
     lowest = 0 if filtered else min(check[2] for check in checks)
+    blocks = {}
     for label in basis.labels_between(lowest, top):
         d = basis.degree_of(label)
         # per check still open on this label: the range of u left to test
@@ -176,12 +181,18 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
             lo, hi = max(first_u, d), min(top if filtered else d, failed_u[i] - 1)
             if lo <= hi:
                 todo[i] = (lo, hi, shift, failure)
-        y, k = Element.basis_vector(basis, g.ring, label), 0
-        while todo and not y.is_zero():
+        if not todo:
+            continue
+        if d not in blocks:
+            blocks[d] = DegreeBlock(g, d)
+        for k, box in enumerate(blocks[d].chain(label)):
+            y = None
             for i, (lo, hi, shift, failure) in list(todo.items()):
                 u = k + p - shift
                 if u < lo:
                     continue
+                if y is None:
+                    y = box()
                 value = failure(y)
                 if value is not None:
                     failed_u[i] = u
@@ -189,10 +200,17 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
                                             value)
                 if value is not None or u == hi:
                     del todo[i]
-            if todo:
-                y, k = g(y), k + 1
-    for (claim, statement, _, _, _), bad in zip(checks, witness):
-        rep.add(claim, statement, FAIL if bad else PASS, bad)
+            if not todo:
+                break
+    for (claim, statement, first_u, _, _), bad in zip(checks, witness):
+        if first_u > top or not basis.labels_between(
+                0 if filtered else first_u, top):
+            labels = "degree <= u" if filtered else "degree u"
+            rep.add(claim, statement, NOT_CHECKED,
+                    f"empty scope: no basis label of {labels} "
+                    f"for {first_u} <= u <= {top}")
+        else:
+            rep.add(claim, statement, FAIL if bad else PASS, bad)
 
 
 def verify_conclusions(I: PreCoalgebraInstance) -> Report:
@@ -203,6 +221,14 @@ def verify_conclusions(I: PreCoalgebraInstance) -> Report:
         ("nilpotency", "(e-f)^(u-p+1)(D_u) = 0", I.p + 1, 1, _nonzero),
     ))
     return rep
+
+
+def _powers(phi: GradedMap, K: int):
+    """[phi^0, ..., phi^K], each power composed onto the one before."""
+    pows = [GradedMap.identity(phi.basis, phi.ring), phi]
+    for _ in range(K - 1):
+        pows.append(phi.compose(pows[-1]))
+    return pows[:K + 1]
 
 
 def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
@@ -220,9 +246,7 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
         return rep
     rep.add("precondition", "f o e = e o f", PASS)
 
-    e_pows = [e.power(k) for k in range(K + 1)]
-    f_pows = [f.power(k) for k in range(K + 1)]
-    g_pows = [g.power(k) for k in range(K + 1)]
+    e_pows, f_pows, g_pows = _powers(e, K), _powers(f, K), _powers(g, K)
 
     def commutation_failure(ij):
         i, j = ij

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +150,49 @@ def test_oracle_agreement_not_checked_on_taft(capsys):
                        "--suite", "oracle-agreement")
     assert code == 0
     assert "not-checked" in out and "not connected" in out
+
+
+# --- no vacuous pass from the chain engine -------------------------------------
+
+@pytest.mark.parametrize("argv, first_u", [
+    (("--algebra", "tensor", "--maxdeg", "3", "--suite", "theorem1", "--p", "3"),
+     {"into-kernel": 4, "nilpotency": 4}),
+    (("--algebra", "tensor", "--maxdeg", "3", "--suite", "filtered", "--p", "4"),
+     {"into-primitives": 5, "nilpotency": 4}),
+    (("--algebra", "fqsym", "--maxdeg", "0", "--suite", "graded-hopf"),
+     {"into-primitives": 1, "killed-by-id-plus-S": 1, "nilpotency": 1}),
+])
+def test_empty_chain_scope_is_not_checked(capsys, argv, first_u):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    chain = {c["claim"]: c for c in payload["suites"][-1]["checks"]
+             if c["claim"] in first_u}
+    assert set(chain) == set(first_u)
+    top = payload["maxdeg"]
+    for claim, check in chain.items():
+        assert check["status"] == "not-checked"
+        assert check["witness"].startswith("empty scope: ")
+        assert check["witness"].endswith(f"{first_u[claim]} <= u <= {top}")
+
+
+def test_chains_reaching_zero_early_still_pass(capsys):
+    # every chain of degree u reaches zero by (id-S^2)^(u-1): nilpotency at
+    # exponent u compares nothing nonzero, yet its scope is not empty
+    code, out, _ = run(capsys, "verify", "--algebra", "fqsym", "--maxdeg", "3",
+                       "--suite", "graded-hopf", "--format", "structured")
+    assert code == 0
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 3
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hopfcheck", "verify",
+                           "--algebra", "abc", "--maxdeg", "2",
+                           "--suite", "graded-hopf"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("overall: PASS\n")

@@ -149,6 +149,18 @@ def test_power_additivity(f, a, b):
     assert f.power(a + b) == f.power(a).compose(f.power(b))
 
 
+def test_power_composes_k_minus_one_times(monkeypatch):
+    f = GradedMap.identity(B, ZZ).scale(3)
+    calls = []
+    compose = GradedMap.compose
+    monkeypatch.setattr(GradedMap, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    assert f.power(0) == GradedMap.identity(B, ZZ) and not calls
+    assert f.power(1) is f and not calls
+    assert f.power(3) == GradedMap.identity(B, ZZ).scale(27)
+    assert len(calls) == 2
+
+
 def test_apply_tensor_matches_materialized():
     f = swap_map(QQ)
     g = GradedMap.identity(B, QQ).scale(QQ.embed(3))

@@ -18,6 +18,13 @@ perturbed specs run every suite but ``taft-remark`` (Taft only) and
 any f, so it passes on every perturbed spec, and it would take most of
 the test's time.  The digests were recorded before the nilpotency chains
 were folded into one engine.
+
+``golden_reports_dense.json`` pins the chains on dense degree blocks:
+``fqsym`` at maxdeg 5 (a 120 x 120 block in degree 5, 81% of it nonzero
+in id - S^2) over Z, Q and Z/5, for ``graded-hopf``, ``lowered-exponent
+--p 2`` and ``filtered --p 2``.  At maxdeg 3 the largest ``fqsym`` block
+is 6 x 6.  These digests were recorded before the chains were walked on
+raw degree blocks.
 """
 
 import contextlib
@@ -32,6 +39,7 @@ from hopfcheck.zoo import CONNECTED_ZOO
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_reports.json").read_text())
 GOLDEN_WIDE = json.loads((HERE / "golden_reports_wide.json").read_text())
+GOLDEN_DENSE = json.loads((HERE / "golden_reports_dense.json").read_text())
 P_SUITES = ("filtered", "lowered-exponent", "theorem1")
 PERTURBED_SUITES = sorted(set(SUITES) - {"taft-remark", "binomial-identity"})
 
@@ -103,3 +111,14 @@ def test_failing_reports_match_golden_digests(tmp_path):
     for name in PERTURBATIONS:
         assert any(seen[f"{name}|{suite}|1"][0] == 2
                    for suite in DEFAULT_SUITES_CONNECTED), name
+
+
+def test_dense_block_reports_match_golden_digests():
+    seen = {}
+    for ring in ("Z", "Q", "Z/5"):
+        for suite, p in (("graded-hopf", "1"), ("lowered-exponent", "2"),
+                         ("filtered", "2")):
+            seen[f"fqsym5|{ring}|{suite}|{p}"] = structured(
+                "--algebra", "fqsym", "--ring", ring, "--maxdeg", "5",
+                "--suite", suite, "--p", p)
+    assert seen == GOLDEN_DENSE

@@ -1,19 +1,25 @@
-"""The raw-value accumulation kernel against naive RingElement references.
+"""The raw-value kernels against naive RingElement references.
 
 Each reference below computes with boxed ``RingElement`` arithmetic, one
-``+`` and ``*`` at a time, the way the engine did before the kernel; the
+``+`` and ``*`` at a time, the way the engine did before the kernels; the
 kernel-backed operations must return exactly the same coefficient dicts.
+The chain engine's degree-block walk is checked against the per-label
+engine it replaced, which applies the map with ``GradedMap.__call__``.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
-from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                            Tensor2Map, kernel_vectors)
+from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
+                            Tensor2Element, Tensor2Map, kernel_vectors)
+from hopfcheck.report import FAIL, PASS, Report, witness_of
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
+from hopfcheck.verify import chain_checks
 from hopfcheck.zoo import shuffle_algebra
 
 ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
@@ -21,6 +27,9 @@ RINGS = [ZZ, QQ, ModRing(5), ModRing(6), ZQ3]
 FIELDS = [QQ, ModRing(5),
           PolyQuotientRing(QQ, [1, 1, 1], irreducible=True)]
 ids = [repr(r) for r in RINGS]
+# every ring kind, with a quotient over each base
+ALL_RINGS = RINGS + [PolyQuotientRing(QQ, [1, 0, 1])]
+all_ids = [repr(r) for r in ALL_RINGS]
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
 LABELS = list(B.labels)
@@ -222,3 +231,146 @@ def test_map_checks_image_ring_when_built():
     images["y"] = Element.basis_vector(B, QQ, "y")
     with pytest.raises(StructuralError):
         GradedMap(B, ZZ, images)
+
+
+# --- Ring._dot ----------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dot_matches_boxed_fold(ring, data):
+    pairs = data.draw(st.lists(st.tuples(scalars(ring), scalars(ring)),
+                               max_size=6))
+    expected = ring.zero
+    for a, b in pairs:
+        expected = expected + a * b
+    got = ring._dot([a.value for a, _ in pairs], [b.value for _, b in pairs])
+    assert type(got) is type(expected.value)
+    assert got == expected.value
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+def test_dot_of_empty_and_negative_inputs(ring):
+    assert ring._dot([], []) == ring._zero
+    assert type(ring._dot([], [])) is type(ring._zero)
+    a = [ring.embed(n).value for n in (-3, 2, -1)]
+    b = [ring.embed(n).value for n in (4, -5, -7)]
+    assert ring._dot(a, b) == ring.embed(-15).value
+
+
+# --- the degree-block chain walk ----------------------------------------------
+
+WALK_BASIS = GradedBasis([["u"], ["x", "y"], ["x2", "y2", "z2", "w2"],
+                          ["a3", "b3", "c3", "d3", "e3"]])
+
+
+def random_scalar(ring, rnd):
+    n = lambda: rnd.randint(-4, 4)
+    # denominators 2, 3 and 4 mixed, so a block's lcm exceeds 1
+    q = lambda: Fraction(n(), rnd.choice((1, 2, 3, 4)))
+    if ring is QQ:
+        return QQ.element(q())
+    if isinstance(ring, PolyQuotientRing):
+        make = q if ring.base is QQ else n
+        return ring.element([make(), make()])
+    return ring.embed(n())
+
+
+def random_map(ring, kind, seed):
+    """A seeded homogeneous map: ``dense`` or ``sparse`` entries, or
+    ``nilpotent`` (strictly lower triangular on each degree, so that every
+    chain reaches zero)."""
+    rnd = random.Random(seed)
+    density = {"dense": 0.9, "sparse": 0.25, "nilpotent": 0.7}[kind]
+    images = {}
+    for labels in WALK_BASIS.degrees:
+        for j, label in enumerate(labels):
+            images[label] = Element(WALK_BASIS, ring, {
+                m: random_scalar(ring, rnd) for i, m in enumerate(labels)
+                if (i > j or kind != "nilpotent") and rnd.random() < density})
+    return GradedMap(WALK_BASIS, ring, images)
+
+
+def reference_chain_checks(rep, g, p, checks, filtered=False):
+    """The per-label engine the block walk replaced: each step is g(y)."""
+    basis, top = g.basis, g.basis.max_degree
+    failed_u = [top + 1] * len(checks)
+    witness = [None] * len(checks)
+    lowest = 0 if filtered else min(check[2] for check in checks)
+    for label in basis.labels_between(lowest, top):
+        d = basis.degree_of(label)
+        todo = {}
+        for i, (_, _, first_u, shift, failure) in enumerate(checks):
+            lo, hi = max(first_u, d), min(top if filtered else d, failed_u[i] - 1)
+            if lo <= hi:
+                todo[i] = (lo, hi, shift, failure)
+        y, k = Element.basis_vector(basis, g.ring, label), 0
+        while todo and not y.is_zero():
+            for i, (lo, hi, shift, failure) in list(todo.items()):
+                u = k + p - shift
+                if u < lo:
+                    continue
+                value = failure(y)
+                if value is not None:
+                    failed_u[i] = u
+                    witness[i] = witness_of((label, u) if filtered else label,
+                                            value)
+                if value is not None or u == hi:
+                    del todo[i]
+            if todo:
+                y, k = g(y), k + 1
+    for (claim, statement, _, _, _), bad in zip(checks, witness):
+        rep.add(claim, statement, FAIL if bad else PASS, bad)
+
+
+def recorded_checks(p, calls):
+    """Declarations whose failures log (claim, y) to ``calls``.  The
+    targets are subspaces: a zero coefficient on one label, and zero."""
+    def on(claim, failure):
+        def recorded(y):
+            calls.append((claim, y))
+            return failure(y)
+        return recorded
+
+    def off_label(label):
+        return lambda y: y if y.coeff(label) else None
+
+    return (("target-z2", "coefficient of z2 is 0", p + 1, 0,
+             on("target-z2", off_label("z2"))),
+            ("target-c3", "coefficient of c3 is 0", p + 1, 0,
+             on("target-c3", off_label("c3"))),
+            ("nilpotency", "y = 0", p, 1,
+             on("nilpotency", lambda y: None if y.is_zero() else y)))
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["graded", "filtered"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nilpotent"])
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+def test_block_walk_matches_per_label_engine(ring, kind, filtered):
+    g = random_map(ring, kind, f"{ring}|{kind}")
+    for p in (1, 2):
+        runs = []
+        for engine in (chain_checks, reference_chain_checks):
+            rep, calls = Report("walk"), []
+            engine(rep, g, p, recorded_checks(p, calls), filtered=filtered)
+            runs.append((rep.to_dict(), calls))
+        assert runs[0] == runs[1]
+        assert runs[0][1], "no check read a chain"
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nilpotent"])
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+def test_block_chain_is_the_iterated_map(ring, kind):
+    g = random_map(ring, kind, f"chain|{ring}|{kind}")
+    for d in range(WALK_BASIS.max_degree + 1):
+        block = DegreeBlock(g, d)
+        if ring is QQ and d >= 2:
+            assert block.scale > 1
+        for label in WALK_BASIS.labels_of_degree(d):
+            walked = [box() for box in itertools.islice(block.chain(label), 5)]
+            expected = [Element.basis_vector(WALK_BASIS, ring, label)]
+            while len(expected) < 5 and not expected[-1].is_zero():
+                expected.append(g(expected[-1]))
+            if expected[-1].is_zero():
+                expected.pop()
+            assert walked == expected

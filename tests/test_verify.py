@@ -169,6 +169,24 @@ def test_binomial_identity_mod5(e, f):
     assert binomial_identity_check(inst, K=3).ok()
 
 
+def test_map_powers_compose_once_per_step(monkeypatch):
+    """S^2 takes one compose, and the list [e^0, ..., e^K] takes K - 1."""
+    H = free_example_abc(ModRing(5), 3)
+    S = H.antipode()
+    powers = [GradedMap.identity(H.basis, H.ring), S, S.compose(S),
+              S.compose(S.compose(S))]
+    calls = []
+    compose = GradedMap.compose
+    monkeypatch.setattr(GradedMap, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    assert instance_from_hopf(H, "id", "S2", 1).f == powers[2]
+    assert len(calls) == 1
+    for K in range(4):
+        del calls[:]
+        assert verify._powers(S, K) == powers[:K + 1]
+        assert len(calls) == max(K - 1, 0)
+
+
 def test_binomial_expansion_fails_with_wrong_coefficients(monkeypatch):
     """With every C(k,r) replaced by 1 the expansion first breaks at k = 2,
     where C(2,1) = 2; the other three checks do not use the coefficients."""
