@@ -123,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_algebra(args) -> HopfPresentation:
+    if args.maxdeg < 0:
+        raise HopfcheckError("maxdeg must be >= 0")
     if args.spec and args.algebra:
         raise HopfcheckError("give either --algebra or --spec, not both")
     if args.spec:

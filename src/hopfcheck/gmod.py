@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 
 from .errors import StructuralError, UnsupportedRingError
-from .rings import ZZ, RationalRing, Ring, RingElement
+from .rings import (ZZ, IntegerRing, ModRing, RationalRing, Ring,
+                    RingElement)
 
 
 class GradedBasis:
@@ -324,13 +325,18 @@ class DegreeBlock:
     Row i (the i-th label of the degree) holds the positions j and the raw
     values of the nonzero entries g[i][j], the coefficient of label i in
     the image of label j; ``masks[j]`` has bit i set when column j touches
-    row i.  Over ``Q`` every entry is scaled to an integer by the lcm
-    ``scale`` of their denominators, so the rows hold ``int``s and a chain
-    runs on integer vectors z_k with g^k(x) = z_k / scale**k.
+    row i, and ``nonzeros`` counts the entries.  Over ``Q`` every entry is
+    scaled to an integer by the lcm ``scale`` of their denominators, so
+    the rows hold ``int``s and a chain runs on integer vectors z_k with
+    g^k(x) = z_k / scale**k.
+
+    Over ``Z``, ``Q`` and prime ``Z/p`` the block also finds, by exact
+    elimination, vectors g^k(x_j) that span g^k(H_d) (:meth:`spans`); on
+    every other ring ``prime`` is None and those methods return None.
     """
 
-    __slots__ = ("map", "labels", "index", "rows", "masks", "scale", "raw",
-                 "dot", "zero")
+    __slots__ = ("map", "labels", "index", "rows", "masks", "nonzeros",
+                 "scale", "raw", "dot", "zero", "prime")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
@@ -346,6 +352,13 @@ class DegreeBlock:
         else:
             self.scale, self.raw = None, lambda v: v
             self.dot, self.zero = ring._dot, ring._zero
+        # elimination: 0 on integer rows, p mod a prime p, None without one
+        if isinstance(ring, (IntegerRing, RationalRing)):
+            self.prime = 0
+        elif isinstance(ring, ModRing) and ring.is_field:
+            self.prime = ring.m
+        else:
+            self.prime = None
         cols = [[] for _ in labels]
         vals = [[] for _ in labels]
         masks = [0] * len(labels)
@@ -357,6 +370,39 @@ class DegreeBlock:
                 masks[j] |= 1 << i
         self.rows = list(zip(cols, vals))
         self.masks = masks
+        self.nonzeros = sum(map(len, cols))
+
+    def _column(self, j):
+        """The image of label j as a raw vector and its support."""
+        index, raw = self.index, self.raw
+        y, support = [self.zero] * len(self.labels), []
+        for l, c in self.map.images[self.labels[j]].coeffs.items():
+            i = index[l]
+            y[i] = raw(c.value)
+            support.append(i)
+        return y, support
+
+    def _step(self, y, support):
+        """g applied to the raw vector y, nonzero exactly on ``support``.
+
+        Only the rows that the support touches are recomputed, one
+        ``_dot`` per row; returns the image and its support.
+        """
+        rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
+        touched = 0
+        for j in support:
+            touched |= masks[j]
+        nxt, support = [zero] * len(self.labels), []
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            i = low.bit_length() - 1
+            cols, vals = rows[i]
+            v = dot(vals, map(y.__getitem__, cols))
+            if v != zero:
+                nxt[i] = v
+                support.append(i)
+        return nxt, support
 
     def chain(self, label: str):
         """Yield g^k(x) for k = 0, 1, 2, ... on the basis vector x of
@@ -364,9 +410,7 @@ class DegreeBlock:
 
         Each value is a zero-argument function that boxes it into an
         Element, so a step nobody reads is never boxed.  Step 0 is x and
-        step 1 the stored image; each later step recomputes only the rows
-        that the support of the previous step touches, one ``_dot`` per
-        row.
+        step 1 the stored image; each later step is one :meth:`_step`.
         """
         g = self.map
         basis, ring = g.basis, g.ring
@@ -375,33 +419,118 @@ class DegreeBlock:
         if image.is_zero():
             return
         yield lambda: image
-        rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
-        n = len(self.labels)
-        index, raw = self.index, self.raw
-        y, support = [zero] * n, []
-        for l, c in image.coeffs.items():
-            i = index[l]
-            y[i] = raw(c.value)
-            support.append(i)
+        y, support = self._column(self.index[label])
         k = 1
         while True:
-            touched = 0
-            for j in support:
-                touched |= masks[j]
-            nxt, support = [zero] * n, []
-            while touched:
-                low = touched & -touched
-                touched ^= low
-                i = low.bit_length() - 1
-                cols, vals = rows[i]
-                v = dot(vals, map(y.__getitem__, cols))
-                if v != zero:
-                    nxt[i] = v
-                    support.append(i)
+            y, support = self._step(y, support)
             if not support:
                 return
-            y, k = nxt, k + 1
+            k += 1
             yield self._boxer(y, support, k)
+
+    def _independent(self, vectors):
+        """Positions of the raw vectors that lie outside the span of the
+        vectors before them: the first basis of their span, in order.
+
+        The elimination is exact (E. H. Bareiss, Math. Comp. 22, 1968): mod
+        ``prime`` on a prime field, else fraction-free on integer vectors,
+        each reduced vector divided by its content.  A kept vector becomes
+        the pivot row of its entry of least absolute value.
+        """
+        p = self.prime
+        pivots, kept = [], []
+        for n, v in enumerate(vectors):
+            for c, row in pivots:
+                b = v[c]
+                if not b:
+                    continue
+                if p:
+                    v = [(x - b * y) % p for x, y in zip(v, row)]
+                    continue
+                a = row[c]
+                h = math.gcd(a, b)
+                a, b = a // h, b // h
+                if a == 1:
+                    v = [x - b * y for x, y in zip(v, row)]
+                    continue
+                v = [a * x - b * y for x, y in zip(v, row)]
+                h = math.gcd(*v)
+                if h > 1:
+                    v = [x // h for x in v]
+            support = [i for i, x in enumerate(v) if x]
+            if not support:
+                continue
+            kept.append(n)
+            c = min(support, key=lambda i: abs(v[i]))
+            if p:
+                inv = pow(v[c], -1, p)
+                v = [x * inv % p for x in v]
+            else:
+                h = math.gcd(*v)
+                if v[c] < 0:
+                    h = -h
+                v = [x // h for x in v]
+            pivots.append((c, v))
+            if len(pivots) == len(v):
+                break
+        return kept
+
+    def spanning_columns(self):
+        """Positions J of labels whose images span g(H_d), the pivot
+        columns of an exact elimination of the block; None on a ring
+        without one here."""
+        if self.prime is None:
+            return None
+        return self._independent(
+            [self._column(j)[0] for j in range(len(self.labels))])
+
+    def spans(self):
+        """Boxers of vectors that span g^k(H_d), for k = 0, 1, 2, ...
+
+        Returns None on a ring without exact elimination, else an iterator
+        of one list per k, stopping before the first k with g^k(H_d) = 0.
+        The list for k = 0 holds every basis vector and the list for k = 1
+        the images of :meth:`spanning_columns`.  Each later list holds the
+        images of the vectors of the list before, less those in the span
+        of the images before them, so its vectors are g^k(x_j) for labels
+        x_j of a shrinking subset of J.
+        """
+        if self.prime is None:
+            return None
+        return self._spans()
+
+    def _spans(self):
+        g, labels = self.map, self.labels
+        if not labels:
+            return
+        yield [lambda l=l: Element.basis_vector(g.basis, g.ring, l)
+               for l in labels]
+        vectors = [self._column(j) for j in self.spanning_columns()]
+        k = 1
+        while vectors:
+            yield [self._boxer(y, support, k) for y, support in vectors]
+            vectors = [self._step(y, support) for y, support in vectors]
+            vectors = [vectors[n] for n in
+                       self._independent([y for y, _ in vectors])]
+            k += 1
+
+    def nilpotency_exponent(self):
+        """The least k with g^k(H_d) = 0, or None when no power of g
+        vanishes on H_d or the ring has no exact elimination here.
+
+        It is the number of nonzero spanning sets of :meth:`spans`.  When
+        one is as large as the one before, g is injective on its span and
+        no power of g vanishes.
+        """
+        levels = self.spans()
+        if levels is None:
+            return None
+        sizes = []
+        for boxes in levels:
+            if sizes and len(boxes) == sizes[-1]:
+                return None
+            sizes.append(len(boxes))
+        return len(sizes)
 
     def _boxer(self, y, support, k):
         """The function that boxes step k, stored as y on ``support``."""

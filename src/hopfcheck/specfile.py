@@ -141,6 +141,8 @@ class _Parser:
             self.maxdeg = int(args[0])
         except (IndexError, ValueError):
             self.fail(lineno, "maxdeg needs an integer")
+        if self.maxdeg < 0:
+            self.fail(lineno, "maxdeg must be >= 0")
 
     def _line_tables(self, lineno, args, line):
         self.body = "tables"

@@ -152,17 +152,28 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     ``y = g^(u-p+shift)(x)``, where x runs over the labels of degree u, or
     of degree <= u when ``filtered`` is set; declarations keep
     ``u-p+shift >= 0``.  ``failure(y)`` returns None when y passes,
-    else the value to put in the witness.  A check whose scope holds no
-    (label, u) compares nothing and is reported not-checked.
+    else the value to put in the witness.  It must be linear: the y that
+    pass form a subspace (over ``Z``, the kernel of a map into a free
+    module), as ``Prim``, ``Ker delta``, ``Ker(id + S)`` and ``0`` do.  A
+    check whose scope holds no (label, u) compares nothing and is reported
+    not-checked.
 
-    Each label's chain x, g(x), g^2(x), ... is walked once, on the raw
-    :class:`DegreeBlock` of its degree (built once per call), only as far
-    as some check still needs it, and y is boxed into an Element only for
-    the steps a check reads.  The chain stops at its first zero: every
-    target is a subspace and every extra annihilator is linear, so a zero
-    y always passes and ``failure`` is never called on one.  The witness
-    is the failure with the least (u, label position), the first one a
-    u-major scan meets.  It names the label, or ``(label, u)`` in
+    Each degree is first decided at once, when its :class:`DegreeBlock`
+    is built.  The exponent-0 steps are tested on every label, and every
+    exponent k >= 1 on the vectors of ``block.spans()``, which span
+    g^k of the degree; since every target is a subspace, the degree passes
+    when they all pass.  Over ``Z``, ``Q`` and prime ``Z/p`` the spans
+    come from exact elimination.  On every other ring, on a sparse block
+    (under a quarter of its entries nonzero, where the walk is cheaper
+    than the elimination), and when a test fails on the spans, the degree
+    is walked label by label instead.
+
+    The walk follows each label's chain x, g(x), g^2(x), ... on the block
+    only as far as some check still needs it, and boxes y into an Element
+    only for the steps a check reads.  The chain stops at its first zero:
+    a zero y always passes and ``failure`` is never called on one.  The
+    witness is the failure with the least (u, label position), the first
+    one a u-major scan meets.  It names the label, or ``(label, u)`` in
     filtered scope.
     """
     require_positive_p(p)
@@ -172,36 +183,39 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     failed_u = [top + 1] * len(checks)
     witness = [None] * len(checks)
     lowest = 0 if filtered else min(check[2] for check in checks)
-    blocks = {}
-    for label in basis.labels_between(lowest, top):
-        d = basis.degree_of(label)
-        # per check still open on this label: the range of u left to test
-        todo = {}
-        for i, (_, _, first_u, shift, failure) in enumerate(checks):
-            lo, hi = max(first_u, d), min(top if filtered else d, failed_u[i] - 1)
-            if lo <= hi:
-                todo[i] = (lo, hi, shift, failure)
-        if not todo:
-            continue
-        if d not in blocks:
-            blocks[d] = DegreeBlock(g, d)
-        for k, box in enumerate(blocks[d].chain(label)):
-            y = None
-            for i, (lo, hi, shift, failure) in list(todo.items()):
-                u = k + p - shift
-                if u < lo:
-                    continue
-                if y is None:
-                    y = box()
-                value = failure(y)
-                if value is not None:
-                    failed_u[i] = u
-                    witness[i] = witness_of((label, u) if filtered else label,
-                                            value)
-                if value is not None or u == hi:
-                    del todo[i]
+    for d in range(lowest, top + 1):
+        block = None
+        for label in basis.labels_of_degree(d):
+            # per check still open on this degree: the range of u left to test
+            todo = {}
+            for i, (_, _, first_u, shift, failure) in enumerate(checks):
+                lo, hi = max(first_u, d), min(top if filtered else d,
+                                              failed_u[i] - 1)
+                if lo <= hi:
+                    todo[i] = (lo, hi, shift, failure)
             if not todo:
                 break
+            if block is None:
+                block = DegreeBlock(g, d)
+                if _holds_on_spans(block, p, todo.values()):
+                    break
+            for k, box in enumerate(block.chain(label)):
+                y = None
+                for i, (lo, hi, shift, failure) in list(todo.items()):
+                    u = k + p - shift
+                    if u < lo:
+                        continue
+                    if y is None:
+                        y = box()
+                    value = failure(y)
+                    if value is not None:
+                        failed_u[i] = u
+                        witness[i] = witness_of(
+                            (label, u) if filtered else label, value)
+                    if value is not None or u == hi:
+                        del todo[i]
+                if not todo:
+                    break
     for (claim, statement, first_u, _, _), bad in zip(checks, witness):
         if first_u > top or not basis.labels_between(
                 0 if filtered else first_u, top):
@@ -211,6 +225,28 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
                     f"for {first_u} <= u <= {top}")
         else:
             rep.add(claim, statement, FAIL if bad else PASS, bad)
+
+
+def _holds_on_spans(block: DegreeBlock, p: int, todo) -> bool:
+    """Whether every check in ``todo`` (tuples ``(lo, hi, shift,
+    failure)``) passes on the vectors of ``block.spans()``, each at the
+    exponent k = u - p + shift of every u in lo..hi; False at the first
+    failure, on a ring without spans and on a sparse block."""
+    levels = block.spans()
+    if levels is None or 4 * block.nonzeros < len(block.labels) ** 2:
+        return False
+    last = max(hi - p + shift for _, hi, shift, _ in todo)
+    for k, boxes in enumerate(levels):
+        tests = [failure for lo, hi, shift, failure in todo
+                 if lo <= k + p - shift <= hi]
+        if tests:
+            for box in boxes:
+                y = box()
+                if any(failure(y) is not None for failure in tests):
+                    return False
+        if k == last:
+            break
+    return True
 
 
 def verify_conclusions(I: PreCoalgebraInstance) -> Report:

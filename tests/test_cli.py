@@ -135,6 +135,19 @@ def test_nonpositive_p_is_config_error(capsys, suite, p):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "fqsym", "--maxdeg", "-1"),
+    ("verify", "--algebra", "tensor", "--maxdeg", "-2"),
+    ("verify", "--algebra", "shuffle", "--maxdeg", "-1"),
+    ("export", "--algebra", "abc", "--maxdeg", "-1"),
+])
+def test_negative_maxdeg_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "hopfcheck: error: maxdeg must be >= 0\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("suite", ["graded-hopf", "lowered-exponent",
                                    "filtered", "reduced", "theorem1"])
 def test_connected_only_suites_reject_taft(capsys, suite):

@@ -30,6 +30,8 @@ ids = [repr(r) for r in RINGS]
 # every ring kind, with a quotient over each base
 ALL_RINGS = RINGS + [PolyQuotientRing(QQ, [1, 0, 1])]
 all_ids = [repr(r) for r in ALL_RINGS]
+# the rings without exact elimination, where the chains walk every label
+PER_LABEL_RINGS = [ModRing(6), ZQ3, ALL_RINGS[-1]]
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
 LABELS = list(B.labels)
@@ -277,14 +279,23 @@ def random_scalar(ring, rnd):
 
 
 def random_map(ring, kind, seed):
-    """A seeded homogeneous map: ``dense`` or ``sparse`` entries, or
+    """A seeded homogeneous map: ``dense`` or ``sparse`` entries,
     ``nilpotent`` (strictly lower triangular on each degree, so that every
-    chain reaches zero)."""
+    chain reaches zero), ``deficient`` (every image a combination of two
+    fixed vectors of its degree) or ``zero``."""
     rnd = random.Random(seed)
-    density = {"dense": 0.9, "sparse": 0.25, "nilpotent": 0.7}[kind]
+    density = {"dense": 0.9, "sparse": 0.25, "nilpotent": 0.7,
+               "deficient": 0.7, "zero": 0}[kind]
     images = {}
     for labels in WALK_BASIS.degrees:
+        vector = lambda: Element(WALK_BASIS, ring, {
+            m: random_scalar(ring, rnd) for m in labels if rnd.random() < density})
+        pair = (vector(), vector())
         for j, label in enumerate(labels):
+            if kind == "deficient":
+                images[label] = (pair[0].scale(random_scalar(ring, rnd))
+                                 + pair[1].scale(random_scalar(ring, rnd)))
+                continue
             images[label] = Element(WALK_BASIS, ring, {
                 m: random_scalar(ring, rnd) for i, m in enumerate(labels)
                 if (i > j or kind != "nilpotent") and rnd.random() < density})
@@ -354,8 +365,14 @@ def test_block_walk_matches_per_label_engine(ring, kind, filtered):
             rep, calls = Report("walk"), []
             engine(rep, g, p, recorded_checks(p, calls), filtered=filtered)
             runs.append((rep.to_dict(), calls))
-        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[1][0]
         assert runs[0][1], "no check read a chain"
+        # over Z, Q and Z/5 a degree is first tested on its spans, so the
+        # checks are called in the reference's order only where every
+        # degree is walked label by label
+        assert (DegreeBlock(g, 0).spans() is None) == (ring in PER_LABEL_RINGS)
+        if ring in PER_LABEL_RINGS:
+            assert runs[0][1] == runs[1][1]
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "nilpotent"])
@@ -374,3 +391,137 @@ def test_block_chain_is_the_iterated_map(ring, kind):
             if expected[-1].is_zero():
                 expected.pop()
             assert walked == expected
+
+
+# --- spans of a degree block ------------------------------------------------
+
+SPAN_RINGS = [ZZ, QQ, ModRing(5)]
+KINDS = ["dense", "deficient", "zero", "nilpotent"]
+
+
+def brute_rank(ring, vectors):
+    """The rank of Elements over ``ring`` (over Q for Z), by the dense
+    boxed elimination of ``naive_kernel_vectors``."""
+    field = QQ if ring is ZZ else ring
+    columns = {n: {l: field.element(c.value) for l, c in v.coeffs.items()}
+               for n, v in enumerate(vectors)}
+    return len(vectors) - len(naive_kernel_vectors(columns, columns, field))
+
+
+def brute_powers(g, label, k):
+    """g^k of the basis vector of ``label``, one ``GradedMap`` call a step."""
+    y = Element.basis_vector(g.basis, g.ring, label)
+    for _ in range(k):
+        y = g(y)
+    return y
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
+def test_spanning_columns_are_a_basis_of_the_image(ring, kind):
+    g = random_map(ring, kind, f"span|{ring}|{kind}")
+    ranks, scales = [], []
+    for d in range(WALK_BASIS.max_degree + 1):
+        block = DegreeBlock(g, d)
+        scales.append(block.scale or 1)
+        images = [g.images[l] for l in block.labels]
+        J = block.spanning_columns()
+        rank = brute_rank(ring, images)
+        spanning = [images[j] for j in J]
+        assert len(J) == rank == brute_rank(ring, spanning)
+        for image in images:
+            assert brute_rank(ring, spanning + [image]) == rank
+        ranks.append(rank)
+    if ring is QQ and kind != "zero":
+        assert max(scales) > 1
+    # full rank, rank-deficient, zero and nilpotent blocks all occur
+    sizes = [len(labels) for labels in WALK_BASIS.degrees]
+    if kind == "dense":
+        assert ranks[:3] == sizes[:3]
+    elif kind == "deficient":
+        assert max(ranks) == ranks[3] == 2 < sizes[3]
+    elif kind == "zero":
+        assert ranks == [0, 0, 0, 0]
+    else:
+        assert all(0 < r < n for r, n in zip(ranks[1:], sizes[1:]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
+def test_spans_are_bases_of_every_power(ring, kind):
+    g = random_map(ring, kind, f"spans|{ring}|{kind}")
+    for d in range(WALK_BASIS.max_degree + 1):
+        block = DegreeBlock(g, d)
+        labels = block.labels
+        levels = list(itertools.islice(block.spans(), len(labels) + 2))
+        for k in range(len(labels) + 2):
+            powers = [brute_powers(g, l, k) for l in labels]
+            rank = brute_rank(ring, powers)
+            level = [box() for box in levels[k]] if k < len(levels) else []
+            assert len(level) == rank == brute_rank(ring, level)
+            assert all(y in powers and not y.is_zero() for y in level)
+            for y in powers:
+                assert brute_rank(ring, level + [y]) == rank
+
+
+def brute_exponent(g, labels):
+    """The least k with g^k(x) = 0 on every label, or None when some chain
+    is not zero after len(labels) steps."""
+    exponent = 0
+    for label in labels:
+        k = next((k for k in range(len(labels) + 1)
+                  if brute_powers(g, label, k).is_zero()), None)
+        if k is None:
+            return None
+        exponent = max(exponent, k)
+    return exponent
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"] + KINDS[1:])
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+def test_nilpotency_exponent_matches_iterated_map(ring, kind):
+    g = random_map(ring, kind, f"exponent|{ring}|{kind}")
+    exponents = []
+    for d in range(WALK_BASIS.max_degree + 1):
+        block = DegreeBlock(g, d)
+        expected = (None if ring in PER_LABEL_RINGS
+                    else brute_exponent(g, block.labels))
+        assert block.nilpotency_exponent() == expected
+        exponents.append(expected)
+    if kind == "nilpotent" and ring not in PER_LABEL_RINGS:
+        assert exponents[3] > 1
+    if kind == "zero" and ring not in PER_LABEL_RINGS:
+        assert exponents == [1, 1, 1, 1]
+
+
+def test_nilpotency_exponent_of_an_empty_degree_is_zero():
+    B = GradedBasis([["1"], [], ["x"]])
+    block = DegreeBlock(GradedMap.zero(B, ZZ), 1)
+    assert block.spanning_columns() == []
+    assert block.nilpotency_exponent() == 0
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
+def test_witness_outside_the_spanning_columns(ring):
+    # g(y) = g(x) and g(z) = 2 g(x), so neither is a spanning column of
+    # degree 1, and z is the only label that fails: its exponent-0 step
+    # y = z has a z term
+    B = GradedBasis([["1"], ["x", "y", "z"], ["v", "w"]])
+    vec = lambda l: Element.basis_vector(B, ring, l)
+    zero = Element.zero(B, ring)
+    x_plus_y = vec("x") + vec("y")
+    g = GradedMap(B, ring, {"1": zero, "x": x_plus_y, "y": x_plus_y,
+                            "z": x_plus_y.scale(ring.embed(2)),
+                            "v": vec("w"), "w": zero})
+    assert DegreeBlock(g, 1).spanning_columns() == [0]
+    seen = []
+
+    def failure(y):
+        seen.append(y)
+        return y if y.coeff("z") else None
+
+    rep = Report("outside")
+    chain_checks(rep, g, 1, [("no-z", "coefficient of z is 0", 1, 0, failure)])
+    assert [(c.status, c.witness) for c in rep.checks] == [(FAIL, "'z' -> 1*z")]
+    # degree 1 is tested on its spans first, then walked label by label
+    assert seen == [vec("x"), vec("y"), vec("z")] * 2

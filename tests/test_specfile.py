@@ -23,6 +23,16 @@ coproduct 1 = 1 1 1
 coproduct x = 1 x 1 + 1 1 x
 """
 
+FREE_ABC = """hopf-spec 1
+name abc
+ring Z
+maxdeg 3
+free
+generator a 1 = primitive
+generator b 1 = primitive
+generator c 2 = 1 c 1 + 1 a b + 1 1 c
+"""
+
 
 def suite_fingerprint(H):
     return (H.verify_bialgebra().to_dict(),
@@ -54,16 +64,7 @@ def test_parse_minimal_tables():
 
 
 def test_parse_free_form():
-    text = """hopf-spec 1
-name abc
-ring Z
-maxdeg 3
-free
-generator a 1 = primitive
-generator b 1 = primitive
-generator c 2 = 1 c 1 + 1 a b + 1 1 c
-"""
-    H = parse_presentation(text)
+    H = parse_presentation(FREE_ABC)
     S = H.antipode()
     assert S(H.element("c")) == H.element("ab") - H.element("c")
 
@@ -107,6 +108,13 @@ def test_bad_coefficient_has_line_number():
     with pytest.raises(SpecFileError) as exc:
         parse_presentation(text)
     assert "line 12" in str(exc.value)
+
+
+@pytest.mark.parametrize("body", [TABLES_HEADER, FREE_ABC])
+def test_negative_maxdeg_rejected_on_its_line(body):
+    with pytest.raises(SpecFileError) as exc:
+        parse_presentation(body.replace("maxdeg ", "maxdeg -", 1))
+    assert str(exc.value) == "line 4: maxdeg must be >= 0"
 
 
 def test_unknown_label_in_table_rejected():

@@ -4,7 +4,7 @@ import pytest
 
 from hopfcheck import verify
 from hopfcheck.errors import StructuralError
-from hopfcheck.gmod import Element, GradedBasis, GradedMap
+from hopfcheck.gmod import DegreeBlock, Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
 from hopfcheck.rings import QQ, ZZ, ModRing
 from hopfcheck.report import Report
@@ -104,13 +104,16 @@ def test_chain_engine_witness_order_and_zero_stop():
     # of 'a' fails only at u = 3 (4a); the later label 'b' fails at u = 2
     # (3b).
     # A u-major scan meets ('b', 2) first, a label-major one ('a', 3).
+    # "y in flagged" is no subspace, so the ring is Z/6, where the chains
+    # walk every label and never take the spans of a degree block.
+    R = ModRing(6)
     B = GradedBasis([["1"], ["a", "c"], ["b"], ["d"]])
-    vec = lambda l: Element.basis_vector(B, ZZ, l)
-    zero = Element.zero(B, ZZ)
-    g = GradedMap(B, ZZ, {"1": zero, "a": vec("a").scale(ZZ.embed(2)),
-                          "c": zero, "b": vec("b").scale(ZZ.embed(3)),
-                          "d": vec("d")})
-    flagged = (vec("a").scale(ZZ.embed(4)), vec("b").scale(ZZ.embed(3)))
+    vec = lambda l: Element.basis_vector(B, R, l)
+    zero = Element.zero(B, R)
+    g = GradedMap(B, R, {"1": zero, "a": vec("a").scale(R.embed(2)),
+                         "c": zero, "b": vec("b").scale(R.embed(3)),
+                         "d": vec("d")})
+    flagged = (vec("a").scale(R.embed(4)), vec("b").scale(R.embed(3)))
     seen = []
 
     def failure(y):
@@ -126,10 +129,40 @@ def test_chain_engine_witness_order_and_zero_stop():
     # chains of '1' and 'c' reach zero after one step: failure is never
     # called on zero, and no label is tested at u = 3 or later once ('b', 2)
     # failed, so 'd' is never tested
-    assert seen == [vec("1"), vec("a"), vec("a").scale(ZZ.embed(2)),
-                    vec("a").scale(ZZ.embed(4)), vec("c"),
-                    vec("b").scale(ZZ.embed(3))]
+    assert seen == [vec("1"), vec("a"), vec("a").scale(R.embed(2)),
+                    vec("a").scale(R.embed(4)), vec("c"),
+                    vec("b").scale(R.embed(3))]
     assert not any(y.is_zero() for y in seen)
+
+
+def test_chain_engine_witness_order_on_spans():
+    # The Z twin, with a subspace target: the coefficients of 't' and 'w'
+    # are 0.  Filtered scope, p = 1, u >= 2: y = g^(u-1)(x).  The chain
+    # a -> c -> 2t fails at u = 3; the later label 'c' fails at u = 2 (2t),
+    # and so do 't' (t) and 'b' of degree 2 (w), after 'c'.  The witness
+    # is the least (u, label position), ('c', 2).
+    B = GradedBasis([["1"], ["a", "c", "t"], ["b", "w"], ["d"]])
+    vec = lambda l: Element.basis_vector(B, ZZ, l)
+    zero = Element.zero(B, ZZ)
+    two_t = vec("t").scale(ZZ.embed(2))
+    g = GradedMap(B, ZZ, {"1": zero, "a": vec("c"), "c": two_t,
+                          "t": vec("t"), "b": vec("w"), "w": zero,
+                          "d": vec("d")})
+    seen = []
+
+    def failure(y):
+        seen.append(y)
+        return y if y.coeff("t") or y.coeff("w") else None
+
+    rep = Report("engine")
+    chain_checks(rep, g, 1, [("claim", "statement", 2, 0, failure)],
+                 filtered=True)
+    (check,) = rep.checks
+    assert check.status == "fail"
+    assert check.witness == "('c', 2) -> 2*t"
+    # degree 1 is first tested on the span {c, 2t} of g(H_1), where 2t
+    # fails; then its labels are walked: 'a' to u = 3, 'c' at u = 2
+    assert seen == [vec("c"), two_t, vec("c"), two_t, two_t]
 
 
 def test_exponent_sharpness_at_degree_two(abc):
@@ -141,6 +174,25 @@ def test_exponent_sharpness_at_degree_two(abc):
     assert g(c) == abc.element("ab") - abc.element("ba")
     for label in abc.basis.labels_of_degree(2):
         assert g(g(abc.element(label))).is_zero()
+
+
+def id_minus_s2_exponents(H):
+    """Per degree u >= 1, the least k with (id - S^2)^k(H_u) = 0."""
+    S = H.antipode()
+    g = GradedMap.identity(H.basis, H.ring) - S.compose(S)
+    return {u: DegreeBlock(g, u).nilpotency_exponent()
+            for u in range(1, H.max_degree + 1)}
+
+
+def test_nilpotency_exponent_is_u_on_abc(abc):
+    # (id - S^2)(H_2) != 0, so the exponent at u = 2 is u itself
+    assert id_minus_s2_exponents(abc)[2] == 2
+
+
+def test_nilpotency_exponent_is_u_minus_1_on_fqsym():
+    # (id - S^2)(H_2) = 0, and the exponent is u - 1 at every u >= 2
+    assert id_minus_s2_exponents(fqsym(ZZ, 5)) == {1: 1, 2: 1, 3: 2, 4: 3,
+                                                    5: 4}
 
 
 def test_counit_kills_g_image(abc):
