@@ -30,6 +30,18 @@ from .zoo import ZOO, build_algebra
 
 DEFAULT_MAXDEG = 4
 
+# The flags that build a zoo algebra, by argparse dest, with their defaults.
+# A spec file fixes all of them, so they are rejected beside --spec; their
+# argparse defaults are None to tell a given flag from an unset one.
+ALGEBRA_DEFAULTS = {"ring": "Z", "maxdeg": DEFAULT_MAXDEG, "rank": 2,
+                    "taft_n": 3}
+
+
+def _algebra_option(args, name):
+    """The value of algebra flag ``name``, or its default when unset."""
+    value = getattr(args, name)
+    return ALGEBRA_DEFAULTS[name] if value is None else value
+
 
 def _suite_reduced(H, args):
     H.require_connected()
@@ -71,7 +83,8 @@ SUITES = {
                        "basic antipode facts, including whether S^2 = id"),
     "oracle-agreement": (lambda H, args: [V.suite_oracle_agreement(H)],
                          "left- and right-recursion antipodes agree"),
-    "taft-remark": (lambda H, args: [V.suite_taft_remark(args.taft_n)],
+    "taft-remark": (lambda H, args: [V.suite_taft_remark(
+                        _algebra_option(args, "taft_n"))],
                     "Taft algebra: S^2 has infinite nilpotency order on x"),
 }
 
@@ -92,14 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", choices=ZOO,
                        help="built-in algebra name")
         p.add_argument("--spec", help="path to an algebra spec file")
-        p.add_argument("--ring", default="Z",
-                       help="coefficient ring: Z, Q, Z/m, or Z[q]/(c0,c1,...,1)")
-        p.add_argument("--maxdeg", type=int, default=DEFAULT_MAXDEG,
-                       help="truncation degree")
-        p.add_argument("--rank", type=int, default=2,
-                       help="generator count for tensor/shuffle algebras")
-        p.add_argument("--taft-n", type=int, default=3,
-                       help="order parameter n of the Taft algebra")
+        p.add_argument("--ring",
+                       help="coefficient ring: Z, Q, Z/m, or Z[q]/(c0,c1,...,1) "
+                            "(default Z)")
+        p.add_argument("--maxdeg", type=int,
+                       help=f"truncation degree (default {DEFAULT_MAXDEG})")
+        p.add_argument("--rank", type=int,
+                       help="generator count for tensor/shuffle algebras "
+                            "(default 2)")
+        p.add_argument("--taft-n", type=int,
+                       help="order parameter n of the Taft algebra (default 3)")
 
     pv = sub.add_parser("verify", help="run verification suites")
     add_algebra_flags(pv)
@@ -123,17 +138,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_algebra(args) -> HopfPresentation:
-    if args.maxdeg < 0:
-        raise HopfcheckError("maxdeg must be >= 0")
     if args.spec and args.algebra:
         raise HopfcheckError("give either --algebra or --spec, not both")
     if args.spec:
+        for name in ALGEBRA_DEFAULTS:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise HopfcheckError(f"{flag} cannot be used with --spec: "
+                                     "the spec file fixes the algebra")
         return parse_presentation_file(args.spec)
     if not args.algebra:
         raise HopfcheckError("one of --algebra or --spec is required")
-    ring = ring_from_string(args.ring)
-    return build_algebra(args.algebra, ring, args.maxdeg,
-                         rank=args.rank, taft_n=args.taft_n)
+    maxdeg = _algebra_option(args, "maxdeg")
+    if maxdeg < 0:
+        raise HopfcheckError("maxdeg must be >= 0")
+    ring = ring_from_string(_algebra_option(args, "ring"))
+    return build_algebra(args.algebra, ring, maxdeg,
+                         rank=_algebra_option(args, "rank"),
+                         taft_n=_algebra_option(args, "taft_n"))
 
 
 def _emit(text: str, out_path):

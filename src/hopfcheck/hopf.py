@@ -3,7 +3,10 @@
 A presentation supplies rules for the product of two basis labels, the
 coproduct of a label, the counit on degree-0 labels and the distinguished
 unit label.  Rules may be backed by explicit tables or computed lazily;
-results are cached and validated (grading) on first use.
+results are cached and validated (grading) on first use.  The bialgebra
+axioms are checked on raw views of those cached entries (raw ring values,
+no ``RingElement`` boxes), and only a failing input is boxed, for its
+witness.
 
 The antipode of a connected presentation is built by the degree recursion
 coming from the left antipode axiom, with an independent second recursion
@@ -14,8 +17,10 @@ never derived.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import StructuralError, TruncationError, UnsupportedRingError
-from .gmod import Element, GradedBasis, GradedMap, Tensor2Element
+from .gmod import Element, GradedBasis, GradedMap, Tensor2Element, _check_ring
 from .report import FAIL, PASS, Report, witness_of
 from .rings import Ring
 
@@ -38,6 +43,8 @@ class HopfPresentation:
         self._product_total = product_total
         self._product_cache: dict = {}
         self._coproduct_cache: dict = {}
+        self._raw_products: dict = {}
+        self._raw_coproducts: dict = {}
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
 
@@ -127,6 +134,51 @@ class HopfPresentation:
                                        for (a, b), c1 in s.coeffs.items()
                                        for (a2, b2), c2 in t.coeffs.items()))
 
+    # raw table views -----------------------------------------------------
+    # Each view is made the first time it is read, from the cached table
+    # entry that ``product_of_labels`` / ``coproduct_of_label`` return, so
+    # grading validation and errors are those of the tables; the ring is
+    # checked once per entry.
+    def _raw_product(self, l1: str, l2: str) -> dict:
+        """{label: raw value} of the product of two labels."""
+        raw = self._raw_products.get((l1, l2))
+        if raw is None:
+            x = self.product_of_labels(l1, l2)
+            _check_ring(self.ring, x)
+            raw = self._raw_products[(l1, l2)] = {
+                k: c.value for k, c in x.coeffs.items()}
+        return raw
+
+    def _raw_coproduct(self, label: str) -> tuple:
+        """((a, b), raw value) pairs of the coproduct of a label."""
+        raw = self._raw_coproducts.get(label)
+        if raw is None:
+            t = self.coproduct_of_label(label)
+            _check_ring(self.ring, t)
+            raw = self._raw_coproducts[label] = tuple(
+                (k, c.value) for k, c in t.coeffs.items())
+        return raw
+
+    @cached_property
+    def _raw_counit(self) -> dict:
+        """{label: raw counit} on the degree-0 labels, the only labels with
+        a nonzero counit."""
+        ring = self.ring
+        return {l: ring.element(self.counit_of_label(l)).value
+                for l in self.basis.labels_of_degree(0)}
+
+    def _raw_t2_terms(self, s: tuple, t: tuple):
+        """Raw ((p, q), value) terms of the componentwise product of two
+        raw coproducts, as ``t2_product`` expands them."""
+        mul, pl = self.ring._mul, self._raw_product
+        for (a, b), c1 in s:
+            for (a2, b2), c2 in t:
+                c, left, right = mul(c1, c2), pl(a, a2), pl(b, b2)
+                for p, v in left.items():
+                    cv = mul(c, v)
+                    for q, w in right.items():
+                        yield (p, q), mul(cv, w)
+
     # connectedness -------------------------------------------------------
     def is_connected(self) -> bool:
         """Degree-0 rank 1 with the counit sending the unit label to 1.
@@ -202,42 +254,45 @@ class HopfPresentation:
     def coassociative_on(self, label: str) -> bool:
         """(coproduct(x)id) o coproduct = (id(x)coproduct) o coproduct on a label.
 
-        Both sides are triple tensors, accumulated with pair keys
-        ((a1, a2), b) and (a, (b1, b2)) and compared flattened."""
-        cop, e = self.coproduct_of_label, self.element
-        terms = cop(label).coeffs.items()
-        left = Tensor2Element.lincomb(self.basis, self.ring,
-                                      ((c, cop(a), e(b)) for (a, b), c in terms))
-        right = Tensor2Element.lincomb(self.basis, self.ring,
-                                       ((c, e(a), cop(b)) for (a, b), c in terms))
-        return ({(*k, b): v for (k, b), v in left.coeffs.items()}
-                == {(a, *k): v for (a, k), v in right.coeffs.items()})
+        Both sides are summed as raw triple tensors (a1, a2, b) and
+        (a, b1, b2) from the raw coproduct views and compared."""
+        ring, cop = self.ring, self._raw_coproduct
+        mul, terms = ring._mul, cop(label)
+        left = _raw_sum(ring, (((a1, a2, b), mul(c, v))
+                               for (a, b), c in terms for (a1, a2), v in cop(a)))
+        right = _raw_sum(ring, (((a, b1, b2), mul(c, v))
+                                for (a, b), c in terms for (b1, b2), v in cop(b)))
+        return left == right
 
     def counit_holds_on(self, label: str, left: bool) -> bool:
         """(id(x)counit) o coproduct = id on a label, or with ``left`` false
-        its mirror (counit(x)id) o coproduct = id."""
-        eps = self.counit_of_label
-        acc = Element.lincomb(
-            self.basis, self.ring,
-            ((c * eps(b), self.element(a), None) if left
-             else (c * eps(a), self.element(b), None)
-             for (a, b), c in self.coproduct_of_label(label).coeffs.items()))
-        return acc == self.element(label)
+        its mirror (counit(x)id) o coproduct = id, on raw values."""
+        ring, eps = self.ring, self._raw_counit
+        mul, terms = ring._mul, self._raw_coproduct(label)
+        if not left:
+            terms = [((b, a), c) for (a, b), c in terms]
+        acc = _raw_sum(ring, ((a, mul(c, eps[b])) for (a, b), c in terms if b in eps))
+        return acc == {label: ring.one.value}
 
     def verify_bialgebra(self) -> Report:
-        """Check the bialgebra axioms on basis labels."""
-        n = self.max_degree
+        """Check the bialgebra axioms on basis labels and label pairs.
+
+        Every check compares raw ring values read from the raw views of
+        the structure tables; rings keep values canonical, so equality is
+        exact.  Only the first failure of a check is boxed into elements,
+        to print its witness.  The pairs (x, y) with deg x + deg y <= N are
+        taken degree by degree of x, in basis order."""
+        n, ring = self.max_degree, self.ring
         rep = Report(f"bialgebra({self.name})")
         labels = self.basis.labels
+        u, one, eps = self.unit_label, ring.one.value, self._raw_counit
 
         # unit axioms
-        du = self.coproduct_of_label(self.unit_label)
-        expected = self.unit().tensor(self.unit())
-        if du == expected and self.counit_of_label(self.unit_label) == self.ring.one:
+        if dict(self._raw_coproduct(u)) == {(u, u): one} and eps[u] == one:
             rep.add("unit", "coproduct(1) = 1(x)1 and counit(1) = 1", PASS)
         else:
             rep.add("unit", "coproduct(1) = 1(x)1 and counit(1) = 1", FAIL,
-                    witness_of(self.unit_label, du))
+                    witness_of(u, self.coproduct_of_label(u)))
 
         rep.per_label("coassociativity",
                       "(coproduct(x)id) o coproduct = (id(x)coproduct) o coproduct",
@@ -248,19 +303,33 @@ class HopfPresentation:
                       labels, lambda l: self.counit_holds_on(l, left=False))
 
         # compatibility: coproduct and counit are algebra maps
-        pairs = [(l1, l2) for l1 in labels for l2 in labels
-                 if self.degree_of(l1) + self.degree_of(l2) <= n]
+        pairs = []
+        for d in range(n + 1):
+            rest = self.basis.labels_up_to(n - d)
+            pairs += ((x, y) for x in self.basis.labels_of_degree(d) for y in rest)
+        mul, add, zero = ring._mul, ring._add, ring._zero
+        pl, cop = self._raw_product, self._raw_coproduct
 
         def coproduct_failure(pair):
-            lhs = self.coproduct(self.product_of_labels(*pair))
-            rhs = self.t2_product(self.coproduct_of_label(pair[0]),
-                                  self.coproduct_of_label(pair[1]))
-            return None if lhs == rhs else witness_of(pair, lhs - rhs)
+            x, y = pair
+            lhs = _raw_sum(ring, ((k, mul(c, v)) for m, c in pl(x, y).items()
+                                  for k, v in cop(m)))
+            if lhs == _raw_sum(ring, self._raw_t2_terms(cop(x), cop(y))):
+                return None
+            lhs = self.coproduct(self.product_of_labels(x, y))
+            rhs = self.t2_product(self.coproduct_of_label(x),
+                                  self.coproduct_of_label(y))
+            return witness_of(pair, lhs - rhs)
 
         def counit_failure(pair):
-            lhs = self.counit(self.product_of_labels(*pair))
-            rhs = self.counit_of_label(pair[0]) * self.counit_of_label(pair[1])
-            return None if lhs == rhs else witness_of(pair, lhs)
+            x, y = pair
+            lhs = zero
+            for m, c in pl(x, y).items():
+                if m in eps:
+                    lhs = add(lhs, mul(c, eps[m]))
+            if lhs == mul(eps.get(x, zero), eps.get(y, zero)):
+                return None
+            return witness_of(pair, self.counit(self.product_of_labels(x, y)))
 
         rep.first_failure("coproduct-multiplicative",
                           "coproduct(x*y) = coproduct(x)*coproduct(y)",
@@ -298,3 +367,12 @@ class HopfPresentation:
                       "m o (id(x)S) o coproduct = unit o counit",
                       labels, right_ok)
         return rep
+
+
+def _raw_sum(ring: Ring, terms) -> dict:
+    """Sum raw (key, value) terms into a dict holding no raw zero."""
+    add, acc = ring._add, {}
+    for k, v in terms:
+        acc[k] = add(acc[k], v) if k in acc else v
+    zero = ring._zero
+    return {k: v for k, v in acc.items() if v != zero}

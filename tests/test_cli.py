@@ -90,6 +90,33 @@ def test_export_then_verify_spec(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("flag, value", [("--ring", "Q"), ("--maxdeg", "2"),
+                                         ("--rank", "3"), ("--taft-n", "4")])
+def test_algebra_flags_rejected_with_spec(tmp_path, capsys, command, flag,
+                                          value):
+    path = tmp_path / "abc.hspec"
+    assert run(capsys, "export", "--algebra", "abc", "--maxdeg", "3",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, command, "--spec", str(path), flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == (f"hopfcheck: error: {flag} cannot be used with --spec: "
+                   "the spec file fixes the algebra\n")
+
+
+def test_algebra_flag_defaults_apply_to_zoo_algebras(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "abc",
+                       "--suite", "bialgebra", "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["ring"], payload["maxdeg"]) == ("Z", 4)
+    code, out, _ = run(capsys, "verify", "--algebra", "taft",
+                       "--suite", "bialgebra")
+    assert code == 0
+    assert "suite bialgebra(taft3): PASS" in out
+
+
 # --- structured output and determinism -------------------------------------
 
 def test_structured_report_is_json(capsys):

@@ -17,7 +17,10 @@ perturbed specs run every suite but ``taft-remark`` (Taft only) and
 ``binomial-identity``: with e = id every check of the latter holds for
 any f, so it passes on every perturbed spec, and it would take most of
 the test's time.  The digests were recorded before the nilpotency chains
-were folded into one engine.
+were folded into one engine.  The same test also requires, as a mutation
+check, that the first failing witness of the default suites on each
+perturbed spec names the perturbed label or one of its products; a
+perturbed ``fqsym`` spec at maxdeg 4 gets the same check.
 
 ``golden_reports_dense.json`` pins the chains on dense degree blocks:
 ``fqsym`` at maxdeg 5 (a 120 x 120 block in degree 5, 81% of it nonzero
@@ -27,6 +30,7 @@ is 6 x 6.  These digests were recorded before the chains were walked on
 raw degree blocks.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -34,7 +38,8 @@ import json
 from pathlib import Path
 
 from hopfcheck.cli import DEFAULT_SUITES_CONNECTED, SUITES, main
-from hopfcheck.zoo import CONNECTED_ZOO
+from hopfcheck.rings import ZZ
+from hopfcheck.zoo import CONNECTED_ZOO, build_algebra
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_reports.json").read_text())
@@ -43,53 +48,93 @@ GOLDEN_DENSE = json.loads((HERE / "golden_reports_dense.json").read_text())
 P_SUITES = ("filtered", "lowered-exponent", "theorem1")
 PERTURBED_SUITES = sorted(set(SUITES) - {"taft-remark", "binomial-identity"})
 
-# spec line prefix, old text, new text: one structure constant changed each
+# spec line prefix, old text, new text, and the label whose table entry
+# changed: one structure constant of abc at maxdeg 4 changed each
 PERTURBATIONS = {
-    "coproduct-c": ("coproduct c =", "+ 1 a b", "+ 2 a b"),
-    "coproduct-ab": ("coproduct ab =", "+ 1 a b", "+ 2 a b"),
-    "coproduct-ac": ("coproduct ac =", "+ 1 a ab", "+ 2 a ab"),
-    "coproduct-bc": ("coproduct bc =", "+ 1 a bb", "+ 2 a bb"),
-    "product-a-b": ("product a b =", "= 1 ab", "= 1 ab + 1 ba"),
+    "coproduct-c": ("coproduct c =", "+ 1 a b", "+ 2 a b", "c"),
+    "coproduct-ab": ("coproduct ab =", "+ 1 a b", "+ 2 a b", "ab"),
+    "coproduct-ac": ("coproduct ac =", "+ 1 a ab", "+ 2 a ab", "ac"),
+    "coproduct-bc": ("coproduct bc =", "+ 1 a bb", "+ 2 a bb", "bc"),
+    "product-a-b": ("product a b =", "= 1 ab", "= 1 ab + 1 ba", "ab"),
 }
+FQSYM_PERTURBATION = ("coproduct 132 =", "+ 1 12 1", "+ 2 12 1", "132")
+
+
+def verify_structured(*argv):
+    """Exit code and structured report text of one verify run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", *argv, "--format", "structured"])
+    return code, out.getvalue()
 
 
 def structured(*argv):
     """Exit code and sha256 of the structured report of one verify run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify", *argv, "--format", "structured"])
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    code, text = verify_structured(*argv)
+    return [code, hashlib.sha256(text.encode()).hexdigest()]
 
 
-def perturbed_spec(directory: Path, name: str) -> Path:
-    prefix, old, new = PERTURBATIONS[name]
+def perturbed_spec(path: Path, algebra: str, perturbation) -> Path:
+    prefix, old, new, _ = perturbation
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["export", "--algebra", "abc", "--ring", "Z", "--maxdeg", "4"])
+        main(["export", "--algebra", algebra, "--ring", "Z", "--maxdeg", "4"])
     lines = out.getvalue().splitlines(keepends=True)
     hits = [i for i, line in enumerate(lines)
             if line.startswith(prefix + " ") and old in line]
-    assert len(hits) == 1, name
+    assert len(hits) == 1, perturbation
     lines[hits[0]] = lines[hits[0]].replace(old, new, 1)
-    path = directory / f"{name}.hspec"
     path.write_text("".join(lines))
     return path
 
 
-def wide_reports(directory: Path) -> dict:
-    seen = {}
-    for name in PERTURBATIONS:
-        spec = str(perturbed_spec(directory, name))
+def first_failing_witness(texts):
+    """The first failing witness in a sequence of structured reports."""
+    for text in texts:
+        for suite in json.loads(text)["suites"]:
+            for check in suite["checks"]:
+                if check["status"] == "fail":
+                    return check["witness"]
+    raise AssertionError("no check fails")
+
+
+def names_perturbed_label(H, witness: str, label: str) -> bool:
+    """Whether ``witness`` names ``label`` or a label in the product of
+    ``label`` with a basis label, on either side.  A witness names the
+    labels of its input (the part before ' -> '), and a pair (x, y) of
+    labels also names the labels of x*y."""
+    near = {label}
+    for y in H.basis.labels_up_to(H.max_degree - H.degree_of(label)):
+        near.update(H.product_of_labels(label, y).coeffs)
+        near.update(H.product_of_labels(y, label).coeffs)
+    head = ast.literal_eval(witness.split(" -> ")[0])
+    if isinstance(head, str):
+        return head in near
+    named = {x for x in head if isinstance(x, str)}
+    if len(head) == 2 and all(isinstance(x, str) for x in head):
+        named.update(H.product_of_labels(*head).coeffs)
+    return bool(named & near)
+
+
+def wide_reports(directory: Path):
+    """The wide golden digests, and the report texts they digest."""
+    seen, texts = {}, {}
+    for name, perturbation in PERTURBATIONS.items():
+        spec = str(perturbed_spec(directory / f"{name}.hspec", "abc",
+                                  perturbation))
         for suite in PERTURBED_SUITES:
             for p in ("1", "2", "3") if suite in P_SUITES else ("1",):
-                seen[f"{name}|{suite}|{p}"] = structured(
+                key = f"{name}|{suite}|{p}"
+                code, texts[key] = verify_structured(
                     "--spec", spec, "--suite", suite, "--p", p)
+                seen[key] = [code,
+                             hashlib.sha256(texts[key].encode()).hexdigest()]
     for suite in P_SUITES:
         for p in ("2", "3"):
             seen[f"abc5|{suite}|{p}"] = structured(
                 "--algebra", "abc", "--ring", "Z", "--maxdeg", "5",
                 "--suite", suite, "--p", p)
-    return seen
+    return seen, texts
 
 
 def test_structured_reports_match_golden_digests():
@@ -105,12 +150,25 @@ def test_structured_reports_match_golden_digests():
 
 
 def test_failing_reports_match_golden_digests(tmp_path):
-    seen = wide_reports(tmp_path)
+    seen, texts = wide_reports(tmp_path)
     assert seen == GOLDEN_WIDE
-    # each perturbed constant is caught by some default suite
-    for name in PERTURBATIONS:
-        assert any(seen[f"{name}|{suite}|1"][0] == 2
-                   for suite in DEFAULT_SUITES_CONNECTED), name
+    # each perturbed constant is caught by some default suite, and the
+    # first witness names the perturbed label or one of its products
+    H = build_algebra("abc", ZZ, 4)
+    for name, (*_, label) in PERTURBATIONS.items():
+        first = first_failing_witness(texts[f"{name}|{suite}|1"]
+                                      for suite in DEFAULT_SUITES_CONNECTED)
+        assert names_perturbed_label(H, first, label), (name, first)
+
+
+def test_perturbed_fqsym_witness_names_its_label(tmp_path):
+    spec = str(perturbed_spec(tmp_path / "fqsym4.hspec", "fqsym",
+                              FQSYM_PERTURBATION))
+    first = first_failing_witness(
+        verify_structured("--spec", spec, "--suite", suite)[1]
+        for suite in DEFAULT_SUITES_CONNECTED)
+    H = build_algebra("fqsym", ZZ, 4)
+    assert names_perturbed_label(H, first, FQSYM_PERTURBATION[-1]), first
 
 
 def test_dense_block_reports_match_golden_digests():
