@@ -319,6 +319,73 @@ class GradedMap:
         raise TypeError("GradedMap is not hashable")
 
 
+def _integer_scaling(ring: Ring, values):
+    """(scale, raw) for holding raw values of ``ring`` on integer rows.
+
+    Over ``Q``, ``scale`` is the lcm of the denominators of ``values`` and
+    raw(v) = v * scale, an ``int``: one common factor for the whole
+    matrix, so its kernel and the span of its columns are unchanged.
+    Elsewhere ``scale`` is None and ``raw`` the identity.
+    """
+    if not isinstance(ring, RationalRing):
+        return None, lambda v: v
+    scale = math.lcm(1, *(v.denominator for v in values))
+    return scale, lambda v: v.numerator * (scale // v.denominator)
+
+
+def _elimination_prime(ring: Ring):
+    """How exact elimination runs on ``ring``'s rows: 0 fraction-free on
+    integer rows (``Z``, and ``Q`` scaled by :func:`_integer_scaling`),
+    p mod a prime p (``Z/p``), None on a ring without integer rows."""
+    if isinstance(ring, (IntegerRing, RationalRing)):
+        return 0
+    if isinstance(ring, ModRing) and ring.is_field:
+        return ring.m
+    return None
+
+
+def _as_pivot(v, c, p):
+    """The vector v, nonzero at c, made a pivot row: scaled to v[c] = 1
+    mod a prime p, else (p = 0) divided by its content with v[c] > 0.
+    Returns the row and the positions of its nonzero entries."""
+    if p:
+        inv = pow(v[c], -1, p)
+        v = [x * inv % p for x in v]
+    else:
+        h = math.gcd(*v)
+        if v[c] < 0:
+            h = -h
+        v = [x // h for x in v]
+    return v, [j for j, x in enumerate(v) if x]
+
+
+def _clear(v, pivot, c, p):
+    """v less the multiple of a pivot row (from :func:`_as_pivot`) that
+    clears column c: mod a prime p, else fraction-free on integers (E. H.
+    Bareiss, Math. Comp. 22, 1968), scaling v when the pivot does not
+    divide v[c] and then dividing it by its content.  Only the pivot row's
+    nonzero positions are touched, and v is changed in place unless it is
+    scaled."""
+    row, support = pivot
+    b = v[c]
+    if p:
+        for j in support:
+            v[j] = (v[j] - b * row[j]) % p
+        return v
+    a = row[c]
+    h = math.gcd(a, b)
+    a, b = a // h, b // h
+    if a != 1:
+        v = [a * x for x in v]
+    for j in support:
+        v[j] -= b * row[j]
+    if a != 1:
+        h = math.gcd(*v)
+        if h > 1:
+            v = [x // h for x in v]
+    return v
+
+
 class DegreeBlock:
     """The restriction of a map to one degree, as raw rows for iterating it.
 
@@ -344,21 +411,13 @@ class DegreeBlock:
         self.labels = labels = g.basis.labels_of_degree(d)
         self.index = index = {l: i for i, l in enumerate(labels)}
         images = [g.images[l].coeffs for l in labels]
-        if isinstance(ring, RationalRing):
-            self.scale = scale = math.lcm(1, *(
-                c.value.denominator for img in images for c in img.values()))
-            self.raw = lambda v: v.numerator * (scale // v.denominator)
-            self.dot, self.zero = ZZ._dot, 0
-        else:
-            self.scale, self.raw = None, lambda v: v
+        self.scale, self.raw = _integer_scaling(
+            ring, (c.value for img in images for c in img.values()))
+        if self.scale is None:
             self.dot, self.zero = ring._dot, ring._zero
-        # elimination: 0 on integer rows, p mod a prime p, None without one
-        if isinstance(ring, (IntegerRing, RationalRing)):
-            self.prime = 0
-        elif isinstance(ring, ModRing) and ring.is_field:
-            self.prime = ring.m
         else:
-            self.prime = None
+            self.dot, self.zero = ZZ._dot, 0
+        self.prime = _elimination_prime(ring)
         cols = [[] for _ in labels]
         vals = [[] for _ in labels]
         masks = [0] * len(labels)
@@ -432,45 +491,23 @@ class DegreeBlock:
         """Positions of the raw vectors that lie outside the span of the
         vectors before them: the first basis of their span, in order.
 
-        The elimination is exact (E. H. Bareiss, Math. Comp. 22, 1968): mod
-        ``prime`` on a prime field, else fraction-free on integer vectors,
-        each reduced vector divided by its content.  A kept vector becomes
-        the pivot row of its entry of least absolute value.
+        The elimination is exact (:func:`_clear`): mod ``prime`` on a
+        prime field, else fraction-free on integer vectors.  A kept vector
+        becomes the pivot row of its entry of least absolute value.
         """
         p = self.prime
         pivots, kept = [], []
         for n, v in enumerate(vectors):
-            for c, row in pivots:
-                b = v[c]
-                if not b:
-                    continue
-                if p:
-                    v = [(x - b * y) % p for x, y in zip(v, row)]
-                    continue
-                a = row[c]
-                h = math.gcd(a, b)
-                a, b = a // h, b // h
-                if a == 1:
-                    v = [x - b * y for x, y in zip(v, row)]
-                    continue
-                v = [a * x - b * y for x, y in zip(v, row)]
-                h = math.gcd(*v)
-                if h > 1:
-                    v = [x // h for x in v]
+            v = list(v)  # cleared in place; the caller keeps the vectors
+            for c, pivot in pivots:
+                if v[c]:
+                    v = _clear(v, pivot, c, p)
             support = [i for i, x in enumerate(v) if x]
             if not support:
                 continue
             kept.append(n)
             c = min(support, key=lambda i: abs(v[i]))
-            if p:
-                inv = pow(v[c], -1, p)
-                v = [x * inv % p for x in v]
-            else:
-                h = math.gcd(*v)
-                if v[c] < 0:
-                    h = -h
-                v = [x // h for x in v]
-            pivots.append((c, v))
+            pivots.append((c, _as_pivot(v, c, p)))
             if len(pivots) == len(v):
                 break
         return kept
@@ -581,61 +618,91 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     """Kernel of the linear map sending key k to the sparse column columns[k].
 
     ``columns`` maps each key in ``keys`` to a dict (row-key -> RingElement).
-    Returns a spanning list of kernel vectors as dicts key -> RingElement,
-    computed by exact Gaussian elimination on raw values.  Requires a field.
+    Returns the kernel basis read off the reduced row echelon form, one
+    vector per non-pivot column c in order, as a dict key -> RingElement:
+    keys[c] with coefficient 1, then the keys of the pivot columns, in
+    order.  Requires a field.
+
+    The elimination is Gauss-Jordan with leftmost pivots on integer rows
+    where the ring has them: over ``Q`` the whole matrix is scaled to
+    integers by one common denominator and eliminated fraction-free with
+    content division, over prime ``Z/p`` mod p on plain ints (the row steps
+    of :class:`DegreeBlock`).  An entry of the result is then
+    -row[c] / row[pivot]; over ``Q`` these are the only ``Fraction``s made.
+    A field without integer rows (``Q[q]/(f)``) is eliminated with its own
+    ring operations.  The reduced echelon form is unique, so the vectors do
+    not depend on the arithmetic.
     """
     if not ring.is_field:
         raise UnsupportedRingError(f"kernel computation needs a field, got {ring}")
     keys = list(keys)
-    row_keys = []
     row_index = {}
     for k in keys:
-        for rk in columns[k]:
-            if rk not in row_index:
-                row_index[rk] = len(row_keys)
-                row_keys.append(rk)
-    ncols, nrows = len(keys), len(row_keys)
-    mul, add, neg, zero = ring._mul, ring._add, ring._neg, ring._zero
-    mat = [[zero] * ncols for _ in range(nrows)]
-    for j, k in enumerate(keys):
         for rk, v in columns[k].items():
             if v.ring is not ring:
                 _check_ring(ring, v)
-            mat[row_index[rk]][j] = v.value
-    # reduced row echelon form with leftmost-nonzero pivoting; only the
-    # pivot row's nonzero columns are touched when eliminating
-    pivot_col_of_row = []
-    r = 0
+            row_index.setdefault(rk, len(row_index))
+    scale, raw = _integer_scaling(
+        ring, (v.value for k in keys for v in columns[k].values()))
+    p = _elimination_prime(ring)
+    if p is None:
+        zero = ring._zero
+        as_pivot, clear = _field_row_steps(ring)
+    else:
+        zero = 0
+        as_pivot = lambda v, c: _as_pivot(v, c, p)
+        clear = lambda v, row, c: _clear(v, row, c, p)
+    ncols, nrows = len(keys), len(row_index)
+    mat = [[zero] * ncols for _ in range(nrows)]
+    for j, k in enumerate(keys):
+        for rk, v in columns[k].items():
+            mat[row_index[rk]][j] = raw(v.value)
+    pivot_cols = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
-        if pivot is None:
+        r = len(pivot_cols)
+        i = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
+        if i is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        inv = ring._inv(prow[c])
-        support = [j for j in range(c, ncols) if prow[j] != zero]
-        for j in support:
-            prow[j] = mul(inv, prow[j])
-        for i in range(nrows):
-            row = mat[i]
-            f = row[c]
-            if i != r and f != zero:
-                f = neg(f)
-                for j in support:
-                    row[j] = add(row[j], mul(f, prow[j]))
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == nrows:
+        pivot = as_pivot(mat[i], c)
+        mat[i], mat[r] = mat[r], pivot[0]
+        for i, row in enumerate(mat):
+            if i != r and row[c] != zero:
+                mat[i] = clear(row, pivot, c)
+        pivot_cols.append(c)
+        if r + 1 == nrows:
             break
-    pivot_cols = set(pivot_col_of_row)
+    # a pivot row holds 1 at its pivot, or over Q a positive integer
+    if scale is None:
+        entry = lambda v, pivot: ring._neg(v)
+    else:
+        entry = lambda v, pivot: Fraction(-v, pivot)
+    pivots = [(pc, mat[i]) for i, pc in enumerate(pivot_cols)]
     kernel = []
-    for c in range(ncols):
-        if c in pivot_cols:
-            continue
+    for c in sorted(set(range(ncols)) - set(pivot_cols)):
         vec = {keys[c]: ring.one}
-        for i, pc in enumerate(pivot_col_of_row):
-            v = mat[i][c]
+        for pc, row in pivots:
+            v = row[c]
             if v != zero:
-                vec[keys[pc]] = RingElement(ring, neg(v))
+                vec[keys[pc]] = RingElement(ring, entry(v, row[pc]))
         kernel.append(vec)
     return kernel
+
+
+def _field_row_steps(ring: Ring):
+    """:func:`_as_pivot` and :func:`_clear` in the raw operations of a
+    field, for a field without integer rows."""
+    mul, add, neg, zero = ring._mul, ring._add, ring._neg, ring._zero
+
+    def as_pivot(v, c):
+        inv = ring._inv(v[c])
+        v = [mul(inv, x) for x in v]
+        return v, [j for j, x in enumerate(v) if x != zero]
+
+    def clear(v, pivot, c):
+        row, support = pivot
+        b = neg(v[c])
+        for j in support:
+            v[j] = add(v[j], mul(b, row[j]))
+        return v
+
+    return as_pivot, clear

@@ -28,6 +28,14 @@ in id - S^2) over Z, Q and Z/5, for ``graded-hopf``, ``lowered-exponent
 --p 2`` and ``filtered --p 2``.  At maxdeg 3 the largest ``fqsym`` block
 is 6 x 6.  These digests were recorded before the chains were walked on
 raw degree blocks.
+
+``golden_reports_fields.json`` pins the ``reduced`` and ``theorem1``
+reports over the fields Q and Z/5, where their Ker delta checks
+(``kernel``, ``kernel-primitive``) and the factorization of delta run: the
+specs of ``PERTURBATIONS`` and of ``COUNIT_PERTURBATION`` exported over
+each field (p = 1..3 for ``theorem1``).  These digests were recorded
+before the kernels were eliminated on integer rows and the factorization
+compared on raw values.
 """
 
 import ast
@@ -45,6 +53,7 @@ HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_reports.json").read_text())
 GOLDEN_WIDE = json.loads((HERE / "golden_reports_wide.json").read_text())
 GOLDEN_DENSE = json.loads((HERE / "golden_reports_dense.json").read_text())
+GOLDEN_FIELDS = json.loads((HERE / "golden_reports_fields.json").read_text())
 P_SUITES = ("filtered", "lowered-exponent", "theorem1")
 PERTURBED_SUITES = sorted(set(SUITES) - {"taft-remark", "binomial-identity"})
 
@@ -57,6 +66,9 @@ PERTURBATIONS = {
     "coproduct-bc": ("coproduct bc =", "+ 1 a bb", "+ 2 a bb", "bc"),
     "product-a-b": ("product a b =", "= 1 ab", "= 1 ab + 1 ba", "ab"),
 }
+# the counit side: delta(a) = 2 a(x)1 is nonzero and lies outside the
+# middle bidegrees
+COUNIT_PERTURBATION = ("coproduct a =", "+ 1 a 1", "+ 2 a 1 + 1 a 1", "a")
 FQSYM_PERTURBATION = ("coproduct 132 =", "+ 1 12 1", "+ 2 12 1", "132")
 
 
@@ -74,11 +86,12 @@ def structured(*argv):
     return [code, hashlib.sha256(text.encode()).hexdigest()]
 
 
-def perturbed_spec(path: Path, algebra: str, perturbation) -> Path:
+def perturbed_spec(path: Path, algebra: str, perturbation,
+                   ring: str = "Z") -> Path:
     prefix, old, new, _ = perturbation
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["export", "--algebra", algebra, "--ring", "Z", "--maxdeg", "4"])
+        main(["export", "--algebra", algebra, "--ring", ring, "--maxdeg", "4"])
     lines = out.getvalue().splitlines(keepends=True)
     hits = [i for i, line in enumerate(lines)
             if line.startswith(prefix + " ") and old in line]
@@ -180,3 +193,26 @@ def test_dense_block_reports_match_golden_digests():
                 "--algebra", "fqsym", "--ring", ring, "--maxdeg", "5",
                 "--suite", suite, "--p", p)
     assert seen == GOLDEN_DENSE
+
+
+def test_field_kernel_reports_match_golden_digests(tmp_path):
+    seen, texts = {}, {}
+    cases = dict(PERTURBATIONS, **{"counit-a": COUNIT_PERTURBATION})
+    for name, perturbation in cases.items():
+        for ring in ("Q", "Z/5"):
+            spec = str(perturbed_spec(
+                tmp_path / f"{name}-{ring.replace('/', '')}.hspec", "abc",
+                perturbation, ring))
+            for suite in ("reduced", "theorem1"):
+                for p in ("1", "2", "3") if suite in P_SUITES else ("1",):
+                    key = f"{name}|{ring}|{suite}|{p}"
+                    code, texts[key] = verify_structured(
+                        "--spec", spec, "--suite", suite, "--p", p)
+                    seen[key] = [code, hashlib.sha256(
+                        texts[key].encode()).hexdigest()]
+    assert seen == GOLDEN_FIELDS
+    # the counit perturbation fails the factorization and the degree bound
+    status = {check["claim"]: check["status"]
+              for suite in json.loads(texts["counit-a|Q|reduced|1"])["suites"]
+              for check in suite["checks"]}
+    assert status["factorization"] == status["degree-bound"] == "fail"

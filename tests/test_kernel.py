@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
                             Tensor2Element, Tensor2Map, kernel_vectors)
+from hopfcheck.reduced import reduced_coproduct_label
 from hopfcheck.report import FAIL, PASS, Report, witness_of
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
-from hopfcheck.verify import chain_checks
-from hopfcheck.zoo import shuffle_algebra
+from hopfcheck.specfile import parse_presentation
+from hopfcheck.verify import (PreCoalgebraInstance, chain_checks,
+                              check_hypotheses)
+from hopfcheck.zoo import shuffle_algebra, tensor_algebra
 
 ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 RINGS = [ZZ, QQ, ModRing(5), ModRing(6), ZQ3]
@@ -192,16 +195,93 @@ def _shuffle(ring):
     return _SHUFFLES[ring]
 
 
+def as_items(vectors):
+    """Kernel vectors as lists of (key, raw value), so that both the
+    vectors and the order of their entries are compared."""
+    return [[(k, v.value) for k, v in vec.items()] for vec in vectors]
+
+
+@st.composite
+def kernel_columns(draw, ring, keys, rows):
+    """Sparse columns over ``rows``: fresh ones (over Q with denominators
+    1 to 4 mixed), zero columns, and duplicates and multiples of earlier
+    columns."""
+    columns = {}
+    for n, key in enumerate(keys):
+        kind = draw(st.sampled_from(("fresh", "zero", "multiple")[:3 if n else 2]))
+        if kind == "fresh":
+            column = draw(sparse(ring, rows))
+        elif kind == "zero":
+            column = {}
+        else:
+            c = draw(st.one_of(st.just(ring.one), scalars(ring)))
+            source = columns[draw(st.sampled_from(keys[:n]))]
+            column = {r: c * v for r, v in source.items()}
+        columns[key] = {r: v for r, v in column.items() if v}
+    return columns
+
+
 @pytest.mark.parametrize("ring", FIELDS, ids=[repr(r) for r in FIELDS])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_kernel_vectors(ring, data):
-    keys = ["k0", "k1", "k2", "k3", "k4"]
-    rows = ["r0", "r1", "r2", "r3"]
-    columns = {k: {r: c for r, c in data.draw(sparse(ring, rows)).items() if c}
-               for k in keys}
-    assert (kernel_vectors(columns, keys, ring)
-            == naive_kernel_vectors(columns, keys, ring))
+    keys = [f"k{i}" for i in range(10)]
+    rows = [f"r{i}" for i in range(6)]
+    columns = data.draw(kernel_columns(ring, keys, rows))
+    assert (as_items(kernel_vectors(columns, keys, ring))
+            == as_items(naive_kernel_vectors(columns, keys, ring)))
+
+
+@pytest.mark.parametrize("build", [tensor_algebra, shuffle_algebra],
+                         ids=["tensor", "shuffle"])
+def test_kernel_vectors_of_delta_columns(build):
+    H = build(2, QQ, 4)
+    columns = {l: reduced_coproduct_label(H, l).coeffs for l in H.basis.labels}
+    for keys in [H.basis.labels] + [H.basis.labels_of_degree(d)
+                                    for d in range(1, 5)]:
+        assert (as_items(kernel_vectors(columns, keys, QQ))
+                == as_items(naive_kernel_vectors(columns, keys, QQ)))
+
+
+# Over Q with denominators 2 to 9, so that the common denominator of the
+# matrix is above 1; delta(1) = 1(x)1 and delta(a) = 1/2 a(x)1 are nonzero,
+# so the first kernel vector is a dependency among the columns
+KERNEL_PIN_SPEC = """\
+hopf-spec 1
+name kernel-pin
+ring Q
+maxdeg 2
+tables
+unit 1
+basis 0 1
+basis 1 a b
+basis 2 x y z w
+counit 1 = 1
+coproduct 1 = 2 1 1
+coproduct a = 1 1 a + 3/2 a 1
+coproduct b = 1 1 b + 1 b 1 + 1/3 a 1
+coproduct x = 1 1 x + 1/2 a b + 1/3 b a + 1 x 1
+coproduct y = 1 1 y + 3/4 a b + 1/2 b a + 1 y 1
+coproduct z = 1 1 z + 2/5 a a + 1 z 1
+coproduct w = 1 1 w + 1/6 a b + 1/9 b a + 5/7 a a + 1 w 1
+"""
+
+
+def test_kernel_witness_pins_the_kernel_vectors():
+    # recorded before the elimination ran on integer rows; with e = id and
+    # f = 0 every nonzero kernel vector fails, so the witness is the first
+    H = parse_presentation(KERNEL_PIN_SPEC)
+    delta = {l: reduced_coproduct_label(H, l) for l in H.basis.labels}
+    I = PreCoalgebraInstance("kernel-pin", H.basis, QQ, delta,
+                             GradedMap.identity(H.basis, QQ),
+                             GradedMap.zero(H.basis, QQ), 1)
+    checks = {c.claim: (c.status, c.witness) for c in check_hypotheses(I).checks}
+    assert checks["kernel"] == (FAIL, "-2/3*a + 1*b -> -2/3*a + 1*b")
+    columns = {l: t.coeffs for l, t in delta.items()}
+    assert as_items(kernel_vectors(columns, H.basis.labels, QQ)) == [
+        [("b", 1), ("a", Fraction(-2, 3))],
+        [("y", 1), ("x", Fraction(-3, 2))],
+        [("w", 1), ("x", Fraction(-1, 3)), ("z", Fraction(-25, 14))]]
 
 
 @pytest.mark.parametrize("ring", [ZZ, ModRing(6), ZQ3], ids=repr)

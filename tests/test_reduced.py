@@ -2,6 +2,8 @@
 
 import pytest
 
+from hopfcheck.errors import UnsupportedRingError
+from hopfcheck.hopf import HopfPresentation
 from hopfcheck.reduced import (delta_kernel_vectors, idbar, is_primitive,
                                random_elements, reduced_coproduct,
                                reduced_coproduct_label,
@@ -74,6 +76,18 @@ def test_delta_kernel_vectors_are_primitive_or_unit():
     for v in delta_kernel_vectors(H):
         w = idbar(H, v)
         assert is_primitive(H, w) or w.is_zero()
+
+
+def test_delta_kernel_vectors_reject_a_non_field_before_any_coproduct(
+        monkeypatch):
+    H = tensor_algebra(2, ZZ, 3)
+
+    def no_coproduct(self, label):
+        raise AssertionError(f"coproduct of {label!r} computed")
+
+    monkeypatch.setattr(HopfPresentation, "coproduct_of_label", no_coproduct)
+    with pytest.raises(UnsupportedRingError):
+        delta_kernel_vectors(H)
 
 
 def test_shuffle_kernel_matches_lyndon_count():
