@@ -1,17 +1,18 @@
 """Graded free modules with a finite named basis per degree.
 
 Elements of the module and of its tensor square are sparse coefficient
-dicts (label -> RingElement, resp. (label, label) -> RingElement) with no
-stored zeros.  Linear maps are stored by their images on basis labels and
-support composition, powers and sums; a pair of maps acts on the tensor
-square through :meth:`GradedMap.apply_tensor`, without building the
-tensor-product map.
+dicts (label -> value, resp. (label, label) -> value) holding the ring's
+canonical raw values, with no stored zeros.  A value is boxed into a
+``RingElement`` only at the boundary: by :meth:`_Sparse.coeff` and, through
+``Ring.format_value``, by ``repr``.  Linear maps are stored by their images
+on basis labels and support composition, powers and sums; a pair of maps
+acts on the tensor square through :meth:`GradedMap.apply_tensor`, without
+building the tensor-product map.
 
-All coefficient arithmetic on these dicts runs through one kernel,
-:meth:`_Sparse.lincomb`, on raw ring values; ``RingElement`` boxes are made
-only for the coefficients it returns.  Iterating one map on one degree, as
-the nilpotency chains do, runs on a :class:`DegreeBlock` instead: raw rows
-and one ``Ring._dot`` per touched row.
+All coefficient arithmetic on these dicts runs through one accumulator,
+:func:`_accumulate`, under :meth:`_Sparse.lincomb`.  Iterating one map on
+one degree, as the nilpotency chains do, runs on a :class:`DegreeBlock`
+instead: raw rows and one ``Ring._dot`` per touched row.
 """
 
 from __future__ import annotations
@@ -83,18 +84,44 @@ def _same_module(a, b) -> bool:
 
 
 def _check_ring(ring: Ring, *items):
-    """Raise unless every item (a RingElement or a sparse element) is over ring."""
+    """Raise unless every item (a sparse element or None) is over ring."""
     for item in items:
         if item is not None and item.ring is not ring and item.ring != ring:
             raise StructuralError(f"mixed-ring operands: {item.ring} vs {ring}")
 
 
+def _accumulate(ring: Ring, terms) -> dict:
+    """The raw coefficients, with no zero, of the sum of c*x or of
+    c*(x (x) y) over ``terms`` of (c, x, y): c a raw value, x and y sparse
+    elements, y None for a plain multiple.  A tensor term's keys are the
+    pairs (key of x, key of y).  The rings of x and y are checked per
+    term; a caller taking c from an element checks that element's ring.
+    This is the one accumulation routine, under :meth:`_Sparse.lincomb`
+    and the coassociativity sums."""
+    mul, add, one = ring._mul, ring._add, ring._one
+    acc = {}
+    for c, x, y in terms:
+        if x.ring is not ring or (y is not None and y.ring is not ring):
+            _check_ring(ring, x, y)
+        for k, v in x.coeffs.items():
+            if c is not one:
+                v = mul(c, v)
+            if y is None:
+                acc[k] = add(acc[k], v) if k in acc else v
+                continue
+            for k2, w in y.coeffs.items():
+                key, t = (k, k2), mul(v, w)
+                acc[key] = add(acc[key], t) if key in acc else t
+    zero = ring._zero
+    return {k: v for k, v in acc.items() if v != zero}
+
+
 class _Sparse:
     """Shared arithmetic for Element and Tensor2Element.
 
-    Every coefficient is a nonzero RingElement of ``ring``: the constructor
-    checks and prunes what it is given, and :meth:`lincomb` produces only
-    such coefficients.
+    Every coefficient is a nonzero canonical raw value of ``ring``: the
+    constructor canonicalizes, ring-checks and prunes what it is given,
+    and :meth:`lincomb` produces only such values.
     """
 
     __slots__ = ("basis", "ring", "coeffs")
@@ -102,7 +129,9 @@ class _Sparse:
     def __init__(self, basis: GradedBasis, ring: Ring, coeffs: dict):
         self.basis = basis
         self.ring = ring
-        self.coeffs = {k: c for k, v in coeffs.items() if (c := ring.element(v))}
+        value, zero = ring._value, ring._zero
+        self.coeffs = {k: c for k, v in coeffs.items()
+                       if (c := value(v)) != zero}
 
     @classmethod
     def _of(cls, basis: GradedBasis, ring: Ring, coeffs: dict):
@@ -113,35 +142,9 @@ class _Sparse:
 
     @classmethod
     def lincomb(cls, basis: GradedBasis, ring: Ring, terms):
-        """The sum of c*x, or of c*(x (x) y), over ``terms`` of (c, x, y).
-
-        ``c`` is a RingElement and ``x``, ``y`` are sparse elements, with
-        ``y`` None for a plain multiple; the keys of a tensor term are the
-        pairs (key of x, key of y).  The rings of c, x and y are checked
-        once per term.  Products and sums run on canonical raw values
-        (``ring._mul``, ``ring._add``) in one dict; zeros are dropped against
-        the raw zero, and each surviving coefficient is boxed once.  This is
-        the one accumulation kernel under every sparse sum, map application
-        and structure-constant expansion.
-        """
-        mul, add, one = ring._mul, ring._add, ring.one
-        acc = {}
-        for c, x, y in terms:
-            if c.ring is not ring or x.ring is not ring or (
-                    y is not None and y.ring is not ring):
-                _check_ring(ring, c, x, y)
-            c = None if c is one else c.value
-            for k, v in x.coeffs.items():
-                v = v.value if c is None else mul(c, v.value)
-                if y is None:
-                    acc[k] = add(acc[k], v) if k in acc else v
-                    continue
-                for k2, w in y.coeffs.items():
-                    key, t = (k, k2), mul(v, w.value)
-                    acc[key] = add(acc[key], t) if key in acc else t
-        zero = ring._zero
-        return cls._of(basis, ring, {k: RingElement(ring, v)
-                                     for k, v in acc.items() if v != zero})
+        """The sum of c*x, or of c*(x (x) y), over ``terms`` of (c, x, y),
+        with raw coefficients c, summed by :func:`_accumulate`."""
+        return cls._of(basis, ring, _accumulate(ring, terms))
 
     def _check(self, other):
         if not _same_module(self, other):
@@ -151,7 +154,7 @@ class _Sparse:
 
     def __add__(self, other):
         self._check(other)
-        one = self.ring.one
+        one = self.ring._one
         return self.lincomb(self.basis, self.ring,
                             ((one, self, None), (one, other, None)))
 
@@ -159,20 +162,20 @@ class _Sparse:
         return self + (-other)
 
     def __neg__(self):
-        ring = self.ring
-        neg = ring._neg
-        return self._of(self.basis, ring, {k: RingElement(ring, neg(v.value))
-                                           for k, v in self.coeffs.items()})
+        neg = self.ring._neg
+        return self._of(self.basis, self.ring,
+                        {k: neg(v) for k, v in self.coeffs.items()})
 
     def scale(self, c):
         return self.lincomb(self.basis, self.ring,
-                            ((self.ring.element(c), self, None),))
+                            ((self.ring._value(c), self, None),))
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def coeff(self, key) -> RingElement:
-        return self.coeffs.get(key, self.ring.zero)
+        """The coefficient of ``key``, boxed."""
+        return RingElement(self.ring, self.coeffs.get(key, self.ring._zero))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -189,7 +192,8 @@ class _Sparse:
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{v}*{k}" for k, v in sorted(
+        fmt = self.ring.format_value
+        return " + ".join(f"{fmt(v)}*{k}" for k, v in sorted(
             self.coeffs.items(), key=lambda kv: str(kv[0])))
 
 
@@ -203,7 +207,7 @@ class Element(_Sparse):
     @classmethod
     def basis_vector(cls, basis, ring, label):
         basis.degree_of(label)
-        return cls(basis, ring, {label: ring.one})
+        return cls._of(basis, ring, {label: ring._one})
 
     def degrees(self):
         return {self.basis.degree_of(l) for l in self.coeffs}
@@ -211,7 +215,7 @@ class Element(_Sparse):
     def tensor(self, other: "Element") -> "Tensor2Element":
         self._check(other)
         return Tensor2Element.lincomb(self.basis, self.ring,
-                                      ((self.ring.one, self, other),))
+                                      ((self.ring._one, self, other),))
 
 
 class Tensor2Element(_Sparse):
@@ -281,13 +285,10 @@ class GradedMap:
                           for l in self.basis.labels})
 
     def __sub__(self, other):
-        self._check(other)
-        return GradedMap(self.basis, self.ring,
-                         {l: self.images[l] - other.images[l]
-                          for l in self.basis.labels})
+        return self + other.scale(-1)
 
     def scale(self, c) -> "GradedMap":
-        c = self.ring.element(c)
+        c = self.ring._value(c)
         return GradedMap(self.basis, self.ring,
                          {l: img.scale(c) for l, img in self.images.items()})
 
@@ -304,6 +305,8 @@ class GradedMap:
     def apply_tensor(self, other: "GradedMap", t: Tensor2Element) -> Tensor2Element:
         """(self (x) other)(t) without materializing the tensor map."""
         self._check(other)
+        if not _same_module(t, self):
+            raise StructuralError("argument from a different module")
         return Tensor2Element.lincomb(
             self.basis, self.ring,
             ((c, self.images[l1], other.images[l2])
@@ -412,7 +415,7 @@ class DegreeBlock:
         self.index = index = {l: i for i, l in enumerate(labels)}
         images = [g.images[l].coeffs for l in labels]
         self.scale, self.raw = _integer_scaling(
-            ring, (c.value for img in images for c in img.values()))
+            ring, (c for img in images for c in img.values()))
         if self.scale is None:
             self.dot, self.zero = ring._dot, ring._zero
         else:
@@ -425,7 +428,7 @@ class DegreeBlock:
             for l, c in img.items():
                 i = index[l]
                 cols[i].append(j)
-                vals[i].append(self.raw(c.value))
+                vals[i].append(self.raw(c))
                 masks[j] |= 1 << i
         self.rows = list(zip(cols, vals))
         self.masks = masks
@@ -437,7 +440,7 @@ class DegreeBlock:
         y, support = [self.zero] * len(self.labels), []
         for l, c in self.map.images[self.labels[j]].coeffs.items():
             i = index[l]
-            y[i] = raw(c.value)
+            y[i] = raw(c)
             support.append(i)
         return y, support
 
@@ -575,11 +578,10 @@ class DegreeBlock:
         ring = g.ring
         if self.scale is None:
             return lambda: Element._of(g.basis, ring, {
-                labels[i]: RingElement(ring, y[i]) for i in support})
+                labels[i]: y[i] for i in support})
         denominator = self.scale ** k
         return lambda: Element._of(g.basis, ring, {
-            labels[i]: RingElement(ring, Fraction(y[i], denominator))
-            for i in support})
+            labels[i]: Fraction(y[i], denominator) for i in support})
 
 
 class Tensor2Map:
@@ -603,6 +605,8 @@ class Tensor2Map:
             raise StructuralError("maps over different modules")
 
     def __call__(self, t: Tensor2Element) -> Tensor2Element:
+        if not _same_module(t, self):
+            raise StructuralError("argument from a different module")
         images = self.images
         return Tensor2Element.lincomb(
             self.basis, self.ring,
@@ -617,11 +621,12 @@ class Tensor2Map:
 def kernel_vectors(columns: dict, keys, ring: Ring):
     """Kernel of the linear map sending key k to the sparse column columns[k].
 
-    ``columns`` maps each key in ``keys`` to a dict (row-key -> RingElement).
-    Returns the kernel basis read off the reduced row echelon form, one
-    vector per non-pivot column c in order, as a dict key -> RingElement:
-    keys[c] with coefficient 1, then the keys of the pivot columns, in
-    order.  Requires a field.
+    ``columns`` maps each key in ``keys`` to a dict (row-key -> canonical
+    raw value of ``ring``), such as the ``coeffs`` of an element.  Returns
+    the kernel basis read off the reduced row echelon form, one vector per
+    non-pivot column c in order, as a dict key -> raw value: keys[c] with
+    coefficient 1, then the keys of the pivot columns, in order.  Requires
+    a field.
 
     The elimination is Gauss-Jordan with leftmost pivots on integer rows
     where the ring has them: over ``Q`` the whole matrix is scaled to
@@ -638,12 +643,10 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     keys = list(keys)
     row_index = {}
     for k in keys:
-        for rk, v in columns[k].items():
-            if v.ring is not ring:
-                _check_ring(ring, v)
+        for rk in columns[k]:
             row_index.setdefault(rk, len(row_index))
     scale, raw = _integer_scaling(
-        ring, (v.value for k in keys for v in columns[k].values()))
+        ring, (v for k in keys for v in columns[k].values()))
     p = _elimination_prime(ring)
     if p is None:
         zero = ring._zero
@@ -656,7 +659,7 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     mat = [[zero] * ncols for _ in range(nrows)]
     for j, k in enumerate(keys):
         for rk, v in columns[k].items():
-            mat[row_index[rk]][j] = raw(v.value)
+            mat[row_index[rk]][j] = raw(v)
     pivot_cols = []
     for c in range(ncols):
         r = len(pivot_cols)
@@ -679,11 +682,11 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     pivots = [(pc, mat[i]) for i, pc in enumerate(pivot_cols)]
     kernel = []
     for c in sorted(set(range(ncols)) - set(pivot_cols)):
-        vec = {keys[c]: ring.one}
+        vec = {keys[c]: ring._one}
         for pc, row in pivots:
             v = row[c]
             if v != zero:
-                vec[keys[pc]] = RingElement(ring, entry(v, row[pc]))
+                vec[keys[pc]] = entry(v, row[pc])
         kernel.append(vec)
     return kernel
 

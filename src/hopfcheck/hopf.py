@@ -3,10 +3,11 @@
 A presentation supplies rules for the product of two basis labels, the
 coproduct of a label, the counit on degree-0 labels and the distinguished
 unit label.  Rules may be backed by explicit tables or computed lazily;
-results are cached and validated (grading) on first use.  The bialgebra
-axioms are checked on raw views of those cached entries (raw ring values,
-no ``RingElement`` boxes), and only a failing input is boxed, for its
-witness.
+results are cached and validated (grading and ring) on first use.  Every
+check reads the structure constants through ``product_of_labels`` and
+``coproduct_of_label`` and compares elements, whose coefficients are raw
+ring values; a failing check's witness is built from the values it
+compared.
 
 The antipode of a connected presentation is built by the degree recursion
 coming from the left antipode axiom, with an independent second recursion
@@ -17,10 +18,9 @@ never derived.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import StructuralError, TruncationError, UnsupportedRingError
-from .gmod import Element, GradedBasis, GradedMap, Tensor2Element, _check_ring
+from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
+                   _accumulate, _check_ring)
 from .report import FAIL, PASS, Report, witness_of
 from .rings import Ring
 
@@ -38,13 +38,14 @@ class HopfPresentation:
         self.unit_label = unit_label
         self._product_rule = product_rule
         self._coproduct_rule = coproduct_rule
-        self._counit0 = dict(counit0)
+        # raw counit values of the degree-0 labels, the only nonzero ones
+        self._counit0 = {l: ring._value(v) for l, v in counit0.items()
+                         if basis.degree_of(l) == 0}
         self._antipode_rule = antipode_rule
         self._product_total = product_total
         self._product_cache: dict = {}
         self._coproduct_cache: dict = {}
-        self._raw_products: dict = {}
-        self._raw_coproducts: dict = {}
+        self._reduced_coproduct_cache: dict = {}
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
 
@@ -79,6 +80,7 @@ class HopfPresentation:
         if result is None:
             raise TruncationError(
                 f"product table has no entry for {l1!r}*{l2!r} (degree {d})")
+        _check_ring(self.ring, result)
         if d <= self.max_degree:
             bad = result.degrees() - {d}
             if bad:
@@ -92,6 +94,7 @@ class HopfPresentation:
         if cached is not None:
             return cached
         result = self._coproduct_rule(label)
+        _check_ring(self.ring, result)
         n = self.degree_of(label)
         bad = {bd for bd in result.bidegree_support() if bd[0] + bd[1] != n}
         if bad:
@@ -101,83 +104,46 @@ class HopfPresentation:
         return result
 
     def counit_of_label(self, label: str):
-        if self.degree_of(label) == 0:
-            return self._counit0.get(label, self.ring.zero)
-        return self.ring.zero
+        """The counit of a label, boxed."""
+        self.degree_of(label)
+        return self.ring.element(self._counit0.get(label, self.ring._zero))
 
     def product(self, x: Element, y: Element) -> Element:
-        pl = self.product_of_labels
+        _check_ring(self.ring, x, y)
+        pl, mul = self.product_of_labels, self.ring._mul
         return Element.lincomb(self.basis, self.ring,
-                               ((c1 * c2, pl(l1, l2), None)
+                               ((mul(c1, c2), pl(l1, l2), None)
                                 for l1, c1 in x.coeffs.items()
                                 for l2, c2 in y.coeffs.items()))
 
     def coproduct(self, x: Element) -> Tensor2Element:
+        _check_ring(self.ring, x)
         return Tensor2Element.lincomb(
             self.basis, self.ring,
             ((c, self.coproduct_of_label(l), None) for l, c in x.coeffs.items()))
 
-    def counit(self, x: Element):
-        val = self.ring.zero
+    def counit_value(self, x: Element):
+        """The counit of x as a raw value of the ring."""
+        _check_ring(self.ring, x)
+        ring, eps = self.ring, self._counit0
+        mul, add, val = ring._mul, ring._add, ring._zero
         for label, c in x.coeffs.items():
-            val = val + c * self.counit_of_label(label)
+            if label in eps:
+                val = add(val, mul(c, eps[label]))
         return val
 
-    def unit_times_counit(self, x: Element) -> Element:
-        return self.unit().scale(self.counit(x))
+    def counit(self, x: Element):
+        """The counit of x, boxed."""
+        return self.ring.element(self.counit_value(x))
 
     def t2_product(self, s: Tensor2Element, t: Tensor2Element) -> Tensor2Element:
         """Componentwise product in the tensor square."""
-        pl = self.product_of_labels
+        _check_ring(self.ring, s, t)
+        pl, mul = self.product_of_labels, self.ring._mul
         return Tensor2Element.lincomb(self.basis, self.ring,
-                                      ((c1 * c2, pl(a, a2), pl(b, b2))
+                                      ((mul(c1, c2), pl(a, a2), pl(b, b2))
                                        for (a, b), c1 in s.coeffs.items()
                                        for (a2, b2), c2 in t.coeffs.items()))
-
-    # raw table views -----------------------------------------------------
-    # Each view is made the first time it is read, from the cached table
-    # entry that ``product_of_labels`` / ``coproduct_of_label`` return, so
-    # grading validation and errors are those of the tables; the ring is
-    # checked once per entry.
-    def _raw_product(self, l1: str, l2: str) -> dict:
-        """{label: raw value} of the product of two labels."""
-        raw = self._raw_products.get((l1, l2))
-        if raw is None:
-            x = self.product_of_labels(l1, l2)
-            _check_ring(self.ring, x)
-            raw = self._raw_products[(l1, l2)] = {
-                k: c.value for k, c in x.coeffs.items()}
-        return raw
-
-    def _raw_coproduct(self, label: str) -> tuple:
-        """((a, b), raw value) pairs of the coproduct of a label."""
-        raw = self._raw_coproducts.get(label)
-        if raw is None:
-            t = self.coproduct_of_label(label)
-            _check_ring(self.ring, t)
-            raw = self._raw_coproducts[label] = tuple(
-                (k, c.value) for k, c in t.coeffs.items())
-        return raw
-
-    @cached_property
-    def _raw_counit(self) -> dict:
-        """{label: raw counit} on the degree-0 labels, the only labels with
-        a nonzero counit."""
-        ring = self.ring
-        return {l: ring.element(self.counit_of_label(l)).value
-                for l in self.basis.labels_of_degree(0)}
-
-    def _raw_t2_terms(self, s: tuple, t: tuple):
-        """Raw ((p, q), value) terms of the componentwise product of two
-        raw coproducts, as ``t2_product`` expands them."""
-        mul, pl = self.ring._mul, self._raw_product
-        for (a, b), c1 in s:
-            for (a2, b2), c2 in t:
-                c, left, right = mul(c1, c2), pl(a, a2), pl(b, b2)
-                for p, v in left.items():
-                    cv = mul(c, v)
-                    for q, w in right.items():
-                        yield (p, q), mul(cv, w)
 
     # connectedness -------------------------------------------------------
     def is_connected(self) -> bool:
@@ -219,15 +185,16 @@ class HopfPresentation:
         # product S(x1) x2 expanded into structure constants
         images = {self.unit_label: self.unit()}
         pl, deg = self.product_of_labels, self.degree_of
+        mul, neg = self.ring._mul, self.ring._neg
         for d in range(1, self.max_degree + 1):
             for label in self.basis.labels_of_degree(d):
                 terms = []
                 for (l1, l2), c in self.coproduct_of_label(label).coeffs.items():
                     if right and deg(l2) < d:
-                        terms += ((-c * v, pl(l1, m), None)
+                        terms += ((neg(mul(c, v)), pl(l1, m), None)
                                   for m, v in images[l2].coeffs.items())
                     elif not right and deg(l1) < d:
-                        terms += ((-c * v, pl(m, l2), None)
+                        terms += ((neg(mul(c, v)), pl(m, l2), None)
                                   for m, v in images[l1].coeffs.items())
                 images[label] = Element.lincomb(self.basis, self.ring, terms)
         return GradedMap(self.basis, self.ring, images)
@@ -254,45 +221,51 @@ class HopfPresentation:
     def coassociative_on(self, label: str) -> bool:
         """(coproduct(x)id) o coproduct = (id(x)coproduct) o coproduct on a label.
 
-        Both sides are summed as raw triple tensors (a1, a2, b) and
-        (a, b1, b2) from the raw coproduct views and compared."""
-        ring, cop = self.ring, self._raw_coproduct
-        mul, terms = ring._mul, cop(label)
-        left = _raw_sum(ring, (((a1, a2, b), mul(c, v))
-                               for (a, b), c in terms for (a1, a2), v in cop(a)))
-        right = _raw_sum(ring, (((a, b1, b2), mul(c, v))
-                                for (a, b), c in terms for (b1, b2), v in cop(b)))
+        Over the terms c a(x)b of coproduct(x), the sides are the sums of
+        (sum_a c coproduct(a))(x)b over b and of a(x)(sum_b c coproduct(b))
+        over a, compared as triple tensors (a1, a2, b) and (a, b1, b2)."""
+        ring, cop = self.ring, self.coproduct_of_label
+        left, right = {}, {}
+        for (a, b), c in cop(label).coeffs.items():
+            left.setdefault(b, []).append((c, cop(a), None))
+            right.setdefault(a, []).append((c, cop(b), None))
+        left = {(a1, a2, b): v for b, terms in left.items()
+                for (a1, a2), v in _accumulate(ring, terms).items()}
+        right = {(a, b1, b2): v for a, terms in right.items()
+                 for (b1, b2), v in _accumulate(ring, terms).items()}
         return left == right
 
     def counit_holds_on(self, label: str, left: bool) -> bool:
         """(id(x)counit) o coproduct = id on a label, or with ``left`` false
-        its mirror (counit(x)id) o coproduct = id, on raw values."""
-        ring, eps = self.ring, self._raw_counit
-        mul, terms = ring._mul, self._raw_coproduct(label)
+        its mirror (counit(x)id) o coproduct = id."""
+        ring, eps = self.ring, self._counit0
+        terms = self.coproduct_of_label(label).coeffs.items()
         if not left:
             terms = [((b, a), c) for (a, b), c in terms]
-        acc = _raw_sum(ring, ((a, mul(c, eps[b])) for (a, b), c in terms if b in eps))
-        return acc == {label: ring.one.value}
+        acc = Element.lincomb(self.basis, ring,
+                              ((ring._mul(c, eps[b]), self.element(a), None)
+                               for (a, b), c in terms if b in eps))
+        return acc == self.element(label)
 
     def verify_bialgebra(self) -> Report:
         """Check the bialgebra axioms on basis labels and label pairs.
 
-        Every check compares raw ring values read from the raw views of
-        the structure tables; rings keep values canonical, so equality is
-        exact.  Only the first failure of a check is boxed into elements,
-        to print its witness.  The pairs (x, y) with deg x + deg y <= N are
-        taken degree by degree of x, in basis order."""
-        n, ring = self.max_degree, self.ring
+        Rings keep raw values canonical, so comparing elements is exact.
+        A failing compatibility check's witness is the difference of the
+        two sides it compared.  The pairs (x, y) with deg x + deg y <= N
+        are taken degree by degree of x, in basis order."""
+        n = self.max_degree
         rep = Report(f"bialgebra({self.name})")
         labels = self.basis.labels
-        u, one, eps = self.unit_label, ring.one.value, self._raw_counit
+        u, unit = self.unit_label, self.unit()
 
         # unit axioms
-        if dict(self._raw_coproduct(u)) == {(u, u): one} and eps[u] == one:
+        cop_u = self.coproduct_of_label(u)
+        if cop_u == unit.tensor(unit) and self.counit_of_label(u) == self.ring.one:
             rep.add("unit", "coproduct(1) = 1(x)1 and counit(1) = 1", PASS)
         else:
             rep.add("unit", "coproduct(1) = 1(x)1 and counit(1) = 1", FAIL,
-                    witness_of(u, self.coproduct_of_label(u)))
+                    witness_of(u, cop_u))
 
         rep.per_label("coassociativity",
                       "(coproduct(x)id) o coproduct = (id(x)coproduct) o coproduct",
@@ -307,29 +280,21 @@ class HopfPresentation:
         for d in range(n + 1):
             rest = self.basis.labels_up_to(n - d)
             pairs += ((x, y) for x in self.basis.labels_of_degree(d) for y in rest)
-        mul, add, zero = ring._mul, ring._add, ring._zero
-        pl, cop = self._raw_product, self._raw_coproduct
+        pl, cop, eps = self.product_of_labels, self.coproduct_of_label, self._counit0
+        mul, zero = self.ring._mul, self.ring._zero
 
         def coproduct_failure(pair):
             x, y = pair
-            lhs = _raw_sum(ring, ((k, mul(c, v)) for m, c in pl(x, y).items()
-                                  for k, v in cop(m)))
-            if lhs == _raw_sum(ring, self._raw_t2_terms(cop(x), cop(y))):
-                return None
-            lhs = self.coproduct(self.product_of_labels(x, y))
-            rhs = self.t2_product(self.coproduct_of_label(x),
-                                  self.coproduct_of_label(y))
-            return witness_of(pair, lhs - rhs)
+            lhs = self.coproduct(pl(x, y))
+            rhs = self.t2_product(cop(x), cop(y))
+            return None if lhs == rhs else witness_of(pair, lhs - rhs)
 
         def counit_failure(pair):
             x, y = pair
-            lhs = zero
-            for m, c in pl(x, y).items():
-                if m in eps:
-                    lhs = add(lhs, mul(c, eps[m]))
+            lhs = self.counit_value(pl(x, y))
             if lhs == mul(eps.get(x, zero), eps.get(y, zero)):
                 return None
-            return witness_of(pair, self.counit(self.product_of_labels(x, y)))
+            return witness_of(pair, self.ring.element(lhs))
 
         rep.first_failure("coproduct-multiplicative",
                           "coproduct(x*y) = coproduct(x)*coproduct(y)",
@@ -345,34 +310,22 @@ class HopfPresentation:
             S = self.antipode()
         rep = Report(f"antipode-axioms({self.name})")
         labels = self.basis.labels
+        ident, pl = GradedMap.identity(self.basis, self.ring), self.product_of_labels
 
-        def left_ok(label):
-            acc = Element.lincomb(
-                self.basis, self.ring,
-                ((c, self.product(S(self.element(a)), self.element(b)), None)
-                 for (a, b), c in self.coproduct_of_label(label).coeffs.items()))
-            return acc == self.unit_times_counit(self.element(label))
-
-        def right_ok(label):
-            acc = Element.lincomb(
-                self.basis, self.ring,
-                ((c, self.product(self.element(a), S(self.element(b))), None)
-                 for (a, b), c in self.coproduct_of_label(label).coeffs.items()))
-            return acc == self.unit_times_counit(self.element(label))
+        def convolution_ok(f, g):
+            """m o (f(x)g) o coproduct = unit o counit on a label."""
+            def check(label):
+                t = f.apply_tensor(g, self.coproduct_of_label(label))
+                acc = Element.lincomb(self.basis, self.ring, (
+                    (c, pl(a, b), None) for (a, b), c in t.coeffs.items()))
+                return acc == self.unit().scale(self.counit_of_label(label))
+            return check
 
         rep.per_label("left-axiom",
                       "m o (S(x)id) o coproduct = unit o counit",
-                      labels, left_ok)
+                      labels, convolution_ok(S, ident))
         rep.per_label("right-axiom",
                       "m o (id(x)S) o coproduct = unit o counit",
-                      labels, right_ok)
+                      labels, convolution_ok(ident, S))
         return rep
 
-
-def _raw_sum(ring: Ring, terms) -> dict:
-    """Sum raw (key, value) terms into a dict holding no raw zero."""
-    add, acc = ring._add, {}
-    for k, v in terms:
-        acc[k] = add(acc[k], v) if k in acc else v
-    zero = ring._zero
-    return {k: v for k, v in acc.items() if v != zero}

@@ -141,13 +141,8 @@ class Ring:
     is_field = False
 
     def element(self, value) -> RingElement:
-        if isinstance(value, RingElement):
-            if value.ring is not self and value.ring != self:
-                raise StructuralError(f"element of {value.ring}, expected {self}")
-            return value
-        if isinstance(value, int):
-            return self.embed(value)
-        return RingElement(self, self._canon(value))
+        raw = self._value(value)
+        return value if isinstance(value, RingElement) else RingElement(self, raw)
 
     def embed(self, n: int) -> RingElement:
         """Image of the integer n under the unique ring map Z -> R."""
@@ -155,17 +150,33 @@ class Ring:
 
     @cached_property
     def zero(self) -> RingElement:
-        return self.embed(0)
+        return RingElement(self, self._zero)
 
     @cached_property
     def one(self) -> RingElement:
-        return self.embed(1)
+        return RingElement(self, self._one)
 
     # raw-value interface -------------------------------------------------
     @cached_property
     def _zero(self):
         """The canonical raw zero, against which raw values are tested."""
         return self._embed_int(0)
+
+    @cached_property
+    def _one(self):
+        """The canonical raw one."""
+        return self._embed_int(1)
+
+    def _value(self, value):
+        """The canonical raw value of a RingElement of this ring, an int or
+        a raw value; an element of another ring is rejected."""
+        if isinstance(value, RingElement):
+            if value.ring is not self and value.ring != self:
+                raise StructuralError(f"element of {value.ring}, expected {self}")
+            return value.value
+        if isinstance(value, int):
+            return self._embed_int(value)
+        return self._canon(value)
 
     def _canon(self, value):
         raise NotImplementedError
@@ -329,15 +340,15 @@ class PolyQuotientRing(Ring):
     """R[q]/(f) for R in {Z, Q} and monic f, residues of degree < deg f.
 
     Values are fixed-length tuples of base-ring raw values, low degree
-    first.  Irreducibility over Q is caller-asserted via ``irreducible``;
-    the ring is a field exactly when the base is Q and that flag is set.
+    first.  Irreducibility over Q is caller-asserted via ``irreducible``
+    (:func:`ring_from_string` decides it where that is cheap); the ring is
+    a field exactly when the base is Q and that flag is set.
     """
 
     def __init__(self, base: Ring, modulus, irreducible: bool = False):
         if not isinstance(base, (IntegerRing, RationalRing)):
             raise StructuralError("quotient base must be Z or Q")
-        mod = tuple(base._canon(c) if not isinstance(c, int) else base._embed_int(c)
-                    for c in modulus)
+        mod = tuple(base._value(c) for c in modulus)
         while len(mod) > 0 and mod[-1] == base._zero:
             mod = mod[:-1]
         if len(mod) < 2:
@@ -365,10 +376,7 @@ class PolyQuotientRing(Ring):
         return tuple(coeffs)
 
     def _canon(self, value):
-        if isinstance(value, int):
-            return self._embed_int(value)
-        coeffs = [self.base.element(c).value for c in value]
-        return self._reduce(coeffs)
+        return self._reduce([self.base._value(c) for c in value])
 
     def _embed_int(self, n):
         return self._reduce([self.base._embed_int(n)])
@@ -475,10 +483,41 @@ def cyclotomic_ring(p: int) -> PolyQuotientRing:
     return PolyQuotientRing(ZZ, [1] * p)
 
 
+# the largest constant term whose divisors the rational-root test tries
+ROOT_TEST_BOUND = 10 ** 10
+
+
+def irreducible_over_q(modulus):
+    """Whether the monic f = ``modulus`` over Q (low degree first) is
+    irreducible, where that is cheap to decide; else None.
+
+    A linear f is irreducible, and f of degree 2 or 3 exactly when it has
+    no rational root.  Those are integers dividing h(0) for the monic
+    integer h(t) = D^n f(t/D), D the lcm of the denominators; degrees
+    above 3 and |h(0)| > ``ROOT_TEST_BOUND`` stay undecided.
+    """
+    n = len(modulus) - 1
+    if n == 1:
+        return True
+    if n > 3:
+        return None
+    scale = math.lcm(*(Fraction(c).denominator for c in modulus))
+    h = [int(c * scale ** (n - i)) for i, c in enumerate(modulus)]
+    if abs(h[0]) > ROOT_TEST_BOUND:
+        return None
+    candidates = {0} if h[0] == 0 else {
+        r for d in range(1, math.isqrt(abs(h[0])) + 1) if h[0] % d == 0
+        for r in (d, -d, h[0] // d, -h[0] // d)}
+    return not any(sum(c * r ** i for i, c in enumerate(h)) == 0
+                   for r in candidates)
+
+
 _RING_RE = re.compile(r"^(Z|Q)\[q\]/\(([^)]*)\)$")
 
 
 def ring_from_string(text: str) -> Ring:
+    """The ring named by ``text``.  ``Q[q]/(f)`` is declared a field when
+    :func:`irreducible_over_q` decides that f is irreducible."""
     text = text.strip()
     if text == "Z":
         return ZZ
@@ -491,7 +530,10 @@ def ring_from_string(text: str) -> Ring:
         if m:
             base = ZZ if m.group(1) == "Z" else QQ
             coeffs = [base.parse_value(c).value for c in m.group(2).split(",")]
-            return PolyQuotientRing(base, coeffs)
+            ring = PolyQuotientRing(base, coeffs)
+            if base is QQ and irreducible_over_q(ring.modulus):
+                ring = PolyQuotientRing(base, coeffs, irreducible=True)
+            return ring
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"unrecognized ring: {text!r} ({exc})") from exc
     raise StructuralError(f"unrecognized ring: {text!r}")

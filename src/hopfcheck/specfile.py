@@ -47,14 +47,14 @@ def _format_element(x: Element) -> str:
     if x.is_zero():
         return "0"
     terms = sorted(x.coeffs.items(), key=lambda kv: kv[0])
-    return " + ".join(f"{x.ring.format_value(c.value)} {l}" for l, c in terms)
+    return " + ".join(f"{x.ring.format_value(c)} {l}" for l, c in terms)
 
 
 def _format_tensor(t: Tensor2Element) -> str:
     if t.is_zero():
         return "0"
     terms = sorted(t.coeffs.items(), key=lambda kv: kv[0])
-    return " + ".join(f"{t.ring.format_value(c.value)} {a} {b}"
+    return " + ".join(f"{t.ring.format_value(c)} {a} {b}"
                       for (a, b), c in terms)
 
 

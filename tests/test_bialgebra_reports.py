@@ -99,7 +99,7 @@ def test_structure_constants_over_another_ring_are_rejected():
 
     def rational_product(l1, l2):
         x = abc.product_of_labels(l1, l2)
-        return Element(abc.basis, QQ, {k: c.value for k, c in x.coeffs.items()})
+        return Element(abc.basis, QQ, {k: x.coeff(k).value for k in x.coeffs})
 
     broken = HopfPresentation("broken", abc.basis, ZZ, rational_product,
                               abc.coproduct_of_label, {UNIT: ZZ.one}, UNIT)

@@ -90,6 +90,30 @@ def test_delta_kernel_vectors_reject_a_non_field_before_any_coproduct(
         delta_kernel_vectors(H)
 
 
+@pytest.mark.parametrize("ring", ["Q", "Z/5", "Z"])
+def test_reduced_coproduct_computed_once_per_label(monkeypatch, tmp_path, ring):
+    # the reduced and theorem1 suites read delta of every label several
+    # times: the degree bound, the membership and kernel checks, and the
+    # theorem's instance; each label's delta is computed once
+    from hopfcheck import cli, reduced
+
+    computed = []
+    compute = reduced.reduced_coproduct
+
+    def counted(H, x):
+        if len(x.coeffs) == 1 and x.coeff(*x.coeffs) == H.ring.one:
+            computed.extend(x.coeffs)
+        return compute(H, x)
+
+    monkeypatch.setattr(reduced, "reduced_coproduct", counted)
+    code = cli.main(["verify", "--algebra", "tensor", "--rank", "2",
+                     "--ring", ring, "--maxdeg", "4", "--suite", "reduced",
+                     "--suite", "theorem1", "--out", str(tmp_path / "r")])
+    assert code == 0
+    labels = tensor_algebra(2, QQ, 4).basis.labels
+    assert sorted(computed) == sorted(labels)
+
+
 def test_shuffle_kernel_matches_lyndon_count():
     # dimension of the degree-d primitives of the rank-2 shuffle algebra over Q
     # is 0 for d >= 2 on the deconcatenation side only in the dual; here the

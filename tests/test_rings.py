@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.rings import (QQ, ZZ, ModRing, PolyQuotientRing, binomial,
-                             cyclotomic_ring, is_prime, ring_from_string)
+                             cyclotomic_ring, irreducible_over_q, is_prime,
+                             ring_from_string)
 
 EISENSTEIN = cyclotomic_ring(3)  # Z[q]/(1 + q + q^2)
 QEISENSTEIN = PolyQuotientRing(QQ, [Fraction(1), Fraction(1), Fraction(1)],
@@ -144,6 +145,48 @@ def test_ring_grammar():
     R = ring_from_string("Z[q]/(1,1,1)")
     q = R.element([0, 1])
     assert q ** 3 == R.one
+
+
+# modulus -> whether Q[q]/(modulus) is decided a field: True, False (a
+# rational root), None (undecided)
+QUOTIENT_FIELDS = {
+    "1,0,1": True,        # q^2 + 1
+    "-1,0,1": False,      # q^2 - 1 = (q - 1)(q + 1)
+    "1/4,0,1": True,      # q^2 + 1/4
+    "-1/4,0,1": False,    # root 1/2
+    "-2,0,0,1": True,     # q^3 - 2
+    "-8,0,0,1": False,    # root 2
+    "5,0,0,0,1": None,    # degree 4: not decided
+}
+
+
+@pytest.mark.parametrize("modulus", QUOTIENT_FIELDS)
+def test_quotient_declared_a_field_exactly_when_irreducible(modulus):
+    text = f"Q[q]/({modulus})"
+    ring = ring_from_string(text)
+    assert irreducible_over_q(ring.modulus) is QUOTIENT_FIELDS[modulus]
+    assert ring.is_field == (QUOTIENT_FIELDS[modulus] is True)
+    assert repr(ring) == text
+    if ring.is_field:
+        x = ring.element([Fraction(2, 3), 1])
+        assert x * x.inverse() == ring.one
+
+
+def test_quotient_over_z_is_never_a_field():
+    ring = ring_from_string("Z[q]/(1,0,1)")
+    assert not ring.is_field
+    assert repr(ring) == "Z[q]/(1,0,1)"
+
+
+def test_rational_root_test_on_rational_coefficients():
+    # (q - 2/3)(q^2 + 1) and (q - 1/2)(q + 3)(q - 5) have rational roots;
+    # q^3 + q/2 + 1/3 and q^2 - 2 have none
+    assert irreducible_over_q([Fraction(-2, 3), 1, Fraction(-2, 3), 1]) is False
+    assert irreducible_over_q([Fraction(15, 2), -13, Fraction(3, 2), 1]) is False
+    assert irreducible_over_q([Fraction(1, 3), Fraction(1, 2), 0, 1]) is True
+    assert irreducible_over_q([-2, 0, 1]) is True
+    assert irreducible_over_q([0, 1, 1]) is False  # q(q + 1)
+    assert irreducible_over_q([7, 1]) is True
 
 
 def test_ring_grammar_rejects_garbage():

@@ -80,6 +80,19 @@ def test_mutated_delta_detected(abcQ):
     assert not rep.ok()
 
 
+def test_instance_operands_over_another_ring_rejected(abcQ):
+    # coefficients are raw values, so a Z operand in a Q instance would
+    # otherwise be read as Q values
+    inst = instance_from_hopf(abcQ, "id", "S2", 1)
+    abcZ = free_example_abc(ZZ, abcQ.max_degree)
+    idZ = GradedMap.identity(abcZ.basis, ZZ)
+    deltaZ = dict(inst.delta, a=abcZ.element("a").tensor(abcZ.unit()))
+    for delta, e in ((inst.delta, idZ), (deltaZ, inst.e)):
+        with pytest.raises(StructuralError, match="instance's basis and ring"):
+            PreCoalgebraInstance(inst.name, inst.basis, inst.ring, delta,
+                                 e, inst.f, inst.p)
+
+
 def test_p_must_be_positive(abcQ):
     inst = instance_from_hopf(abcQ, "id", "S2", 1)
     with pytest.raises(StructuralError):
