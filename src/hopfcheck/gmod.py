@@ -95,12 +95,15 @@ def _accumulate(ring: Ring, terms) -> dict:
     c*(x (x) y) over ``terms`` of (c, x, y): c a raw value, x and y sparse
     elements, y None for a plain multiple.  A tensor term's keys are the
     pairs (key of x, key of y).  The rings of x and y are checked per
-    term; a caller taking c from an element checks that element's ring.
-    This is the one accumulation routine, under :meth:`_Sparse.lincomb`
-    and the coassociativity sums."""
+    term, and a boxed c is ring-checked and unboxed; a caller taking a raw
+    c from an element checks that element's ring.  This is the one
+    accumulation routine, under :meth:`_Sparse.lincomb` and the
+    coassociativity sums."""
     mul, add, one = ring._mul, ring._add, ring._one
     acc = {}
     for c, x, y in terms:
+        if isinstance(c, RingElement):
+            c = ring._value(c)
         if x.ring is not ring or (y is not None and y.ring is not ring):
             _check_ring(ring, x, y)
         for k, v in x.coeffs.items():
@@ -143,7 +146,8 @@ class _Sparse:
     @classmethod
     def lincomb(cls, basis: GradedBasis, ring: Ring, terms):
         """The sum of c*x, or of c*(x (x) y), over ``terms`` of (c, x, y),
-        with raw coefficients c, summed by :func:`_accumulate`."""
+        with raw (or same-ring boxed) coefficients c, summed by
+        :func:`_accumulate`."""
         return cls._of(basis, ring, _accumulate(ring, terms))
 
     def _check(self, other):

@@ -45,7 +45,6 @@ class HopfPresentation:
         self._product_total = product_total
         self._product_cache: dict = {}
         self._coproduct_cache: dict = {}
-        self._reduced_coproduct_cache: dict = {}
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
 

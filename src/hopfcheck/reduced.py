@@ -38,7 +38,7 @@ def reduced_coproduct(H: HopfPresentation, x: Element) -> Tensor2Element:
 def reduced_coproduct_label(H: HopfPresentation, label: str) -> Tensor2Element:
     """delta of a basis label, computed on first read and cached on H, as
     its structure tables are."""
-    cache = H._reduced_coproduct_cache
+    cache = vars(H).setdefault("_reduced_coproduct_cache", {})
     delta = cache.get(label)
     if delta is None:
         delta = cache[label] = reduced_coproduct(H, H.element(label))

@@ -532,7 +532,7 @@ def ring_from_string(text: str) -> Ring:
             coeffs = [base.parse_value(c).value for c in m.group(2).split(",")]
             ring = PolyQuotientRing(base, coeffs)
             if base is QQ and irreducible_over_q(ring.modulus):
-                ring = PolyQuotientRing(base, coeffs, irreducible=True)
+                ring.irreducible = ring.is_field = True
             return ring
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"unrecognized ring: {text!r} ({exc})") from exc

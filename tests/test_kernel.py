@@ -322,7 +322,7 @@ def test_mixed_ring_coefficients_rejected():
     with pytest.raises(StructuralError):
         Element(B, ZZ, {"x": QQ.one})
     with pytest.raises(StructuralError):
-        Element.lincomb(B, ZZ, [(1, Element.basis_vector(B, QQ, "x"), None)])
+        Element.lincomb(B, ZZ, [(QQ.one, Element.basis_vector(B, ZZ, "x"), None)])
 
 
 def test_map_checks_image_ring_when_built():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.gmod import DegreeBlock, GradedMap, kernel_vectors
+from hopfcheck.gmod import DegreeBlock, Element, GradedMap, kernel_vectors
 from hopfcheck.reduced import reduced_coproduct_label
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing, RingElement
 from hopfcheck.zoo import build_algebra
@@ -53,8 +53,11 @@ def test_elements_hold_canonical_raw_values(name, ring):
     for y in (x + x, x - x, -x, x.scale(c), x.tensor(x), S(x), S2(x),
               H.product(x, x), H.coproduct(x), H.t2_product(
                   H.coproduct(x), H.coproduct(x)),
-              S.apply_tensor(S2, H.coproduct(x))):
+              S.apply_tensor(S2, H.coproduct(x)),
+              Element.lincomb(H.basis, ring, ((c, x, None),))):
         raw(y)
+    boxed_c = Element.lincomb(H.basis, ring, ((c, x, None),))
+    assert boxed_c == x.scale(c) and hash(boxed_c) == hash(x.scale(c))
 
     # degree-block steps, also over Q with a block scale above 1
     for f in (g, g.scale(c)):
