@@ -7,7 +7,8 @@ canonical raw values, with no stored zeros.  A value is boxed into a
 ``Ring.format_value``, by ``repr``.  Linear maps are stored by their images
 on basis labels and support composition, powers and sums; a pair of maps
 acts on the tensor square through :meth:`GradedMap.apply_tensor`, without
-building the tensor-product map.
+building the tensor-product map, and :func:`tensor_sum_vanishes` decides
+whether a sum of such pairs is the zero operator.
 
 All coefficient arithmetic on these dicts runs through one accumulator,
 :func:`_accumulate`, under :meth:`_Sparse.lincomb`.  Iterating one map on
@@ -97,8 +98,8 @@ def _accumulate(ring: Ring, terms) -> dict:
     pairs (key of x, key of y).  The rings of x and y are checked per
     term, and a boxed c is ring-checked and unboxed; a caller taking a raw
     c from an element checks that element's ring.  This is the one
-    accumulation routine, under :meth:`_Sparse.lincomb` and the
-    coassociativity sums."""
+    accumulation routine, under :meth:`_Sparse.lincomb`, the
+    coassociativity sums and :func:`tensor_sum_vanishes`."""
     mul, add, one = ring._mul, ring._add, ring._one
     acc = {}
     for c, x, y in terms:
@@ -324,6 +325,39 @@ class GradedMap:
 
     def __hash__(self):
         raise TypeError("GradedMap is not hashable")
+
+
+def tensor_sum_vanishes(basis: GradedBasis, ring: Ring, terms) -> bool:
+    """Whether the operator T = sum_i c_i (A_i (x) B_i) on the tensor
+    square is zero, for ``terms`` of (c_i, A_i, B_i): c_i a raw value of
+    ``ring``, A_i and B_i maps over ``basis`` and ``ring``.
+
+    T(x (x) y) = sum_a a (x) M(y) with M = sum_i (c_i A_i(x)[a]) B_i, and
+    the a (x) b form a basis of the free module D (x) D, so T = 0 exactly
+    when, for each row key (x, a), M vanishes on every basis label y.  M
+    depends only on the row (c_i A_i(x)[a])_i, so each distinct row is
+    tested once, its images summed by :func:`_accumulate`.  The test is
+    exact over every ring, zero divisors included, and no pair x (x) y is
+    visited.
+    """
+    terms = list(terms)
+    for _, A, B in terms:
+        if not (_same_module(A, B) and A.basis == basis and A.ring == ring):
+            raise StructuralError("maps over different modules")
+    mul, zero = ring._mul, ring._zero
+    rows = set()
+    for x in basis.labels:
+        row_of = {}
+        for i, (c, A, _) in enumerate(terms):
+            for a, v in A.images[x].coeffs.items():
+                row_of.setdefault(a, [zero] * len(terms))[i] = mul(c, v)
+        rows.update(map(tuple, row_of.values()))
+    for row in rows:
+        live = [(r, B) for r, (_, _, B) in zip(row, terms) if r != zero]
+        for y in basis.labels:
+            if _accumulate(ring, ((r, B.images[y], None) for r, B in live)):
+                return False
+    return True
 
 
 def _integer_scaling(ring: Ring, values):
@@ -592,9 +626,9 @@ class Tensor2Map:
     """A linear endomap of the tensor square, by images on label pairs.
 
     Nothing in the package builds one: operators on the tensor square are
-    checked on basis pairs instead.  The class stays only because the
-    benchmark's layer tracer (``perfbench/tracer.py``) patches its
-    ``__init__`` and ``compose``.
+    decided by :func:`tensor_sum_vanishes` instead.  The class stays only
+    because the benchmark's layer tracer (``perfbench/tracer.py``) patches
+    its ``__init__`` and ``compose``.
     """
 
     __slots__ = ("basis", "ring", "images")

@@ -273,29 +273,24 @@ class _Parser:
             raise SpecFileError(str(exc)) from exc
         ring = self.ring
 
-        def to_element(lineno, terms):
+        def sparse(cls, lineno, terms):
+            """The parsed terms summed on raw values into a ``cls``."""
             coeffs = {}
-            for coeff, (label,) in terms:
-                if label not in basis:
-                    self.fail(lineno, f"unknown label {label!r}")
-                coeffs[label] = coeffs.get(label, ring.zero) + coeff
-            return Element(basis, ring, coeffs)
-
-        def to_tensor(lineno, terms):
-            coeffs = {}
-            for coeff, pair in terms:
-                for label in pair:
+            for coeff, labels in terms:
+                for label in labels:
                     if label not in basis:
                         self.fail(lineno, f"unknown label {label!r}")
-                coeffs[pair] = coeffs.get(pair, ring.zero) + coeff
-            return Tensor2Element(basis, ring, coeffs)
+                key = labels if cls is Tensor2Element else labels[0]
+                coeffs[key] = ring._add(coeffs.get(key, ring._zero),
+                                        coeff.value)
+            return cls(basis, ring, coeffs)
 
         products = {}
         for (l1, l2), (lineno, terms) in self.product_rows.items():
             for label in (l1, l2):
                 if label not in basis:
                     self.fail(lineno, f"unknown label {label!r}")
-            value = to_element(lineno, terms)
+            value = sparse(Element, lineno, terms)
             d = basis.degree_of(l1) + basis.degree_of(l2)
             if d <= self.maxdeg and value.degrees() - {d}:
                 self.fail(lineno, f"product {l1} {l2} not homogeneous of degree {d}")
@@ -304,7 +299,7 @@ class _Parser:
         for label, (lineno, terms) in self.coproduct_rows.items():
             if label not in basis:
                 self.fail(lineno, f"unknown label {label!r}")
-            value = to_tensor(lineno, terms)
+            value = sparse(Tensor2Element, lineno, terms)
             n = basis.degree_of(label)
             bad = {bd for bd in value.bidegree_support() if bd[0] + bd[1] != n}
             if bad:
@@ -316,7 +311,7 @@ class _Parser:
             raise SpecFileError(f"coproduct missing for labels {missing[:3]}")
         antipode = None
         if self.antipode_rows:
-            antipode = {label: to_element(lineno, terms)
+            antipode = {label: sparse(Element, lineno, terms)
                         for label, (lineno, terms) in self.antipode_rows.items()}
             missing = [l for l in basis.labels if l not in antipode]
             if missing:

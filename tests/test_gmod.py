@@ -1,12 +1,14 @@
 """Graded free modules, sparse elements, tensor squares, graded maps."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                            Tensor2Map, kernel_vectors)
-from hopfcheck.rings import QQ, ZZ, ModRing
+                            Tensor2Map, kernel_vectors, tensor_sum_vanishes)
+from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
 
@@ -172,6 +174,106 @@ def test_apply_tensor_matches_materialized():
                                       ("y", "u"): QQ.embed(15)})
     assert f.apply_tensor(g, t) == expected
     assert fg(t) == expected
+
+
+# --- operators on the tensor square ---------------------------------------
+
+TENSOR_RINGS = [ZZ, QQ, ModRing(5), ModRing(6), PolyQuotientRing(ZZ, [1, 1, 1])]
+
+
+def ring_values(ring):
+    """Few small nonzero boxed values of ``ring``, so that entries often
+    repeat; 2 and 3 are zero divisors of Z/6."""
+    values = [ring.embed(n) for n in (1, -1, 2, 3)]
+    if isinstance(ring, PolyQuotientRing):
+        values.append(ring.element([0, 1]))
+    return values
+
+
+# two labels of degree 0, so that random rows often share a key
+SMALL = GradedBasis([["x", "y"], ["z"]])
+
+
+def naive_vanishes(terms):
+    """Whether sum_i c_i (A_i (x) B_i) is zero, evaluated on every basis
+    pair x (x) y with boxed arithmetic."""
+    for x, y in itertools.product(SMALL.labels, repeat=2):
+        acc = {}
+        for c, f, g in terms:
+            fx, gy = f.images[x], g.images[y]
+            for a, b in itertools.product(fx.coeffs, gy.coeffs):
+                acc[a, b] = acc.get((a, b), c.ring.zero) + (
+                    c * fx.coeff(a) * gy.coeff(b))
+        if any(not v.is_zero() for v in acc.values()):
+            return False
+    return True
+
+
+@st.composite
+def tensor_terms(draw):
+    """A ring and terms (c, A, B) of small random maps.  Each drawn term
+    may come with a second one that cancels it on every pair, (-c, A, B),
+    or on part of the pairs: (-c, A', B) or (-c, A, B') with A' = A, or
+    B' = B, on the labels after a random cut and zero before it.  A row
+    key (x, a) before the cut then fails while a later (x', a) passes."""
+    ring = draw(st.sampled_from(TENSOR_RINGS))
+    values = ring_values(ring)
+    value = st.one_of(st.just(ring.zero), st.sampled_from(values))
+
+    def a_map():
+        return GradedMap(SMALL, ring, {
+            l: Element(SMALL, ring, {m: draw(value) for m in
+                                     SMALL.labels_of_degree(SMALL.degree_of(l))})
+            for l in SMALL.labels})
+
+    def near(f):
+        keep = SMALL.labels[draw(st.integers(0, len(SMALL.labels))):]
+        zero = Element.zero(SMALL, ring)
+        return GradedMap(SMALL, ring, {l: f.images[l] if l in keep else zero
+                                       for l in SMALL.labels})
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, f, g = draw(st.sampled_from(values)), a_map(), a_map()
+        terms.append((c, f, g))
+        partner = draw(st.sampled_from(["none", "all", "left", "right"]))
+        if partner != "none":
+            terms.append((-c, near(f) if partner == "left" else f,
+                          near(g) if partner == "right" else g))
+    return ring, terms
+
+
+@settings(max_examples=300)
+@given(tensor_terms())
+def test_tensor_sum_vanishes_matches_pairwise_evaluation(case):
+    ring, terms = case
+    raw = [(ring._value(c), f, g) for c, f, g in terms]
+    assert tensor_sum_vanishes(SMALL, ring, raw) == naive_vanishes(terms)
+
+
+def test_tensor_sum_vanishes_on_zero_divisors():
+    """2 (3 id (x) id) = 0 over Z/6, though neither factor is zero."""
+    Z6 = ModRing(6)
+    ident = GradedMap.identity(B, Z6)
+    triple = ident.scale(3)
+    assert tensor_sum_vanishes(B, Z6, [(2, triple, ident)])
+    assert not tensor_sum_vanishes(B, Z6, [(1, triple, ident)])
+
+
+def test_tensor_sum_vanishes_keys_rows_by_label_and_image():
+    """(A - A') (x) id with A(x) = A'(x) = x, A(y) = x and A'(y) = 0: the
+    row of (x, x) cancels, that of (y, x) does not."""
+    ident = GradedMap.identity(B, ZZ)
+    x = Element.basis_vector(B, ZZ, "x")
+    A = GradedMap(B, ZZ, dict(ident.images, y=x))
+    A_prime = GradedMap(B, ZZ, dict(ident.images, y=Element.zero(B, ZZ)))
+    assert not tensor_sum_vanishes(B, ZZ, [(1, A, ident), (-1, A_prime, ident)])
+
+
+def test_tensor_sum_vanishes_rejects_other_modules():
+    with pytest.raises(StructuralError):
+        tensor_sum_vanishes(B, QQ, [(1, GradedMap.identity(B, QQ),
+                                     GradedMap.identity(B, ZZ))])
 
 
 # --- kernels ---------------------------------------------------------------

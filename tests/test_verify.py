@@ -6,7 +6,7 @@ from hopfcheck import verify
 from hopfcheck.errors import StructuralError
 from hopfcheck.gmod import DegreeBlock, Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
-from hopfcheck.rings import QQ, ZZ, ModRing
+from hopfcheck.rings import QQ, ZZ, ModRing, ring_from_string
 from hopfcheck.report import Report
 from hopfcheck.verify import (PreCoalgebraInstance, binomial_identity_check,
                               chain_checks, check_hypotheses,
@@ -227,11 +227,39 @@ def test_id_plus_s_kills_primitives(abc):
 
 # --- binomial identity -----------------------------------------------------
 
+# the checks of a passing report, as the per-pair check recorded them
+# before the identities were decided on operators
+BINOMIAL_PASSING_CHECKS = [
+    {"claim": "precondition", "statement": "f o e = e o f",
+     "status": "pass"},
+    {"claim": "power-commutation", "statement": "g^i o e^j = e^j o g^i",
+     "status": "pass"},
+    {"claim": "tensor-commutation",
+     "statement": "(g(x)f) o (e(x)g) = (e(x)g) o (g(x)f)", "status": "pass"},
+    {"claim": "binomial-expansion",
+     "statement": "h^k = sum_r C(k,r) (e^(k-r)(x)f^r) o (g^r(x)g^(k-r))",
+     "status": "pass"},
+]
+
+
+def passing_binomial_report(e, f):
+    return {"suite": f"binomial-identity(abc[{e},{f},p=1])", "ok": True,
+            "checks": BINOMIAL_PASSING_CHECKS}
+
+
 @pytest.mark.parametrize("e, f", [("id", "S2"), ("S2", "S4"), ("id", "S4")])
 def test_binomial_identity_mod5(e, f):
     H = free_example_abc(ModRing(5), 3)
     inst = instance_from_hopf(H, e, f, 1)
-    assert binomial_identity_check(inst, K=3).ok()
+    assert (binomial_identity_check(inst, K=3).to_dict()
+            == passing_binomial_report(e, f))
+
+
+@pytest.mark.parametrize("ring, maxdeg", [("Z[q]/(1,1,1)", 3), ("Z/6", 4)])
+def test_binomial_identity_reports_recorded(ring, maxdeg):
+    H = free_example_abc(ring_from_string(ring), maxdeg)
+    rep = binomial_identity_check(instance_from_hopf(H, "id", "S2", 1), K=3)
+    assert rep.to_dict() == passing_binomial_report("id", "S2")
 
 
 def test_map_powers_compose_once_per_step(monkeypatch):
@@ -257,12 +285,28 @@ def test_binomial_expansion_fails_with_wrong_coefficients(monkeypatch):
     where C(2,1) = 2; the other three checks do not use the coefficients."""
     monkeypatch.setattr(verify, "binomial", lambda k, r: 1)
     H = free_example_abc(ModRing(5), 3)
-    rep = binomial_identity_check(instance_from_hopf(H, "id", "S2", 1), K=3)
-    assert statuses(rep) == {"precondition": "pass",
-                             "power-commutation": "pass",
-                             "tensor-commutation": "pass",
-                             "binomial-expansion": "fail"}
-    assert rep.failures()[0].witness == "2"
+    for K in (3, 4):
+        rep = binomial_identity_check(instance_from_hopf(H, "id", "S2", 1), K)
+        assert rep.to_dict() == {
+            "suite": "binomial-identity(abc[id,S2,p=1])", "ok": False,
+            "checks": BINOMIAL_PASSING_CHECKS[:3] + [
+                {"claim": "binomial-expansion",
+                 "statement": "h^k = sum_r C(k,r) (e^(k-r)(x)f^r) o "
+                              "(g^r(x)g^(k-r))",
+                 "status": "fail", "witness": "2"}]}
+
+
+def test_binomial_identity_applies_no_map_to_tensors(monkeypatch):
+    """Both tensor-square identities are decided on operators, so no pair
+    of maps is applied to a tensor-square element."""
+    calls = []
+    apply_tensor = GradedMap.apply_tensor
+    monkeypatch.setattr(GradedMap, "apply_tensor", lambda self, other, t:
+                        calls.append(1) or apply_tensor(self, other, t))
+    H = free_example_abc(ModRing(5), 3)
+    assert binomial_identity_check(instance_from_hopf(H, "id", "S2", 1),
+                                   K=3).ok()
+    assert not calls
 
 
 def test_binomial_identity_detects_noncommuting():
