@@ -72,7 +72,7 @@ SUITES = {
                          "exponent lowering when id - S^2 kills degrees 2..p"),
     "filtered": (lambda H, args: [V.suite_corollary_filtered(
                      H, GradedMap.identity(H.basis, H.ring),
-                     H.antipode().compose(H.antipode()), args.p)],
+                     H.antipode_squared(), args.p)],
                  "filtered corollary for e = id, f = S^2 at the given p"),
     "theorem1": (_suite_theorem1,
                  "generic nilpotency theorem: hypotheses and conclusions"),
@@ -83,8 +83,7 @@ SUITES = {
                        "basic antipode facts, including whether S^2 = id"),
     "oracle-agreement": (lambda H, args: [V.suite_oracle_agreement(H)],
                          "left- and right-recursion antipodes agree"),
-    "taft-remark": (lambda H, args: [V.suite_taft_remark(
-                        _algebra_option(args, "taft_n"))],
+    "taft-remark": (lambda H, args: [V.suite_taft_remark(H)],
                     "Taft algebra: S^2 has infinite nilpotency order on x"),
 }
 

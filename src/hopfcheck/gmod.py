@@ -13,13 +13,17 @@ whether a sum of such pairs is the zero operator.
 All coefficient arithmetic on these dicts runs through one accumulator,
 :func:`_accumulate`, under :meth:`_Sparse.lincomb`.  Iterating one map on
 one degree, as the nilpotency chains do, runs on a :class:`DegreeBlock`
-instead: raw rows and one ``Ring._dot`` per touched row.
+instead: raw rows and one ``Ring._dot`` per touched row.  Exact linear
+algebra runs through one incremental elimination, :func:`_eliminate`, with
+row steps chosen once per ring: it finds the spanning sets of a block and
+the kernels of :func:`kernel_vectors`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 from .errors import StructuralError, UnsupportedRingError
 from .rings import (ZZ, IntegerRing, ModRing, RationalRing, Ring,
@@ -361,70 +365,114 @@ def tensor_sum_vanishes(basis: GradedBasis, ring: Ring, terms) -> bool:
 
 
 def _integer_scaling(ring: Ring, values):
-    """(scale, raw) for holding raw values of ``ring`` on integer rows.
+    """(scale, raw, rows) for holding raw values of ``ring`` as raw values
+    of the ring ``rows``, the ring that the rows of a matrix are over.
 
-    Over ``Q``, ``scale`` is the lcm of the denominators of ``values`` and
-    raw(v) = v * scale, an ``int``: one common factor for the whole
-    matrix, so its kernel and the span of its columns are unchanged.
-    Elsewhere ``scale`` is None and ``raw`` the identity.
+    Over ``Q``, ``rows`` is ``Z``, ``scale`` is the lcm of the denominators
+    of ``values`` and raw(v) = v * scale, an ``int``: one common factor for
+    the whole matrix, so its kernel and the span of its columns are
+    unchanged.  Elsewhere ``rows`` is ``ring``, ``scale`` is None and
+    ``raw`` the identity.
     """
     if not isinstance(ring, RationalRing):
-        return None, lambda v: v
+        return None, lambda v: v, ring
     scale = math.lcm(1, *(v.denominator for v in values))
-    return scale, lambda v: v.numerator * (scale // v.denominator)
+    return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
 
 
-def _elimination_prime(ring: Ring):
-    """How exact elimination runs on ``ring``'s rows: 0 fraction-free on
-    integer rows (``Z``, and ``Q`` scaled by :func:`_integer_scaling`),
-    p mod a prime p (``Z/p``), None on a ring without integer rows."""
-    if isinstance(ring, (IntegerRing, RationalRing)):
-        return 0
-    if isinstance(ring, ModRing) and ring.is_field:
-        return ring.m
-    return None
+def _row_steps(ring: Ring):
+    """The row steps ``(as_pivot, clear)`` of exact elimination on raw rows
+    over ``ring``; None on composite ``Z/m``, ``Z[q]/(f)`` and ``Q[q]/(f)``
+    not declared a field.
 
+    ``as_pivot(v, support)`` picks a pivot column c among ``support``, the
+    positions where v is nonzero and a pivot may be, and returns c and v
+    made a pivot row.  ``clear(v, c, row, positions)`` is v less the
+    multiple of that row, nonzero at ``positions``, that clears column c;
+    v changes in place unless it is scaled.  Over ``Z``, which holds the
+    rows of ``Q`` (:func:`_integer_scaling`), the steps are fraction-free
+    (E. H. Bareiss, Math. Comp. 22, 1968): the pivot is an entry of least
+    absolute value, a row is divided by its content with row[c] > 0, and v
+    is scaled when row[c] does not divide v[c], then divided by its
+    content.  Mod a prime p (on plain ints) and over any other field (in
+    its raw operations) the pivot is the first nonzero entry, scaled to 1.
+    """
+    if isinstance(ring, IntegerRing):
+        def as_pivot(v, support):
+            c = min(support, key=lambda i: abs(v[i]))
+            h = math.gcd(*v)
+            if v[c] < 0:
+                h = -h
+            return c, [x // h for x in v] if h != 1 else v
 
-def _as_pivot(v, c, p):
-    """The vector v, nonzero at c, made a pivot row: scaled to v[c] = 1
-    mod a prime p, else (p = 0) divided by its content with v[c] > 0.
-    Returns the row and the positions of its nonzero entries."""
-    if p:
-        inv = pow(v[c], -1, p)
-        v = [x * inv % p for x in v]
+        def clear(v, c, row, positions):
+            a, b = row[c], v[c]
+            h = math.gcd(a, b)
+            a, b = a // h, b // h
+            if a != 1:
+                v = [a * x for x in v]
+            for j in positions:
+                v[j] -= b * row[j]
+            if a != 1:
+                h = math.gcd(*v)
+                if h > 1:
+                    v = [x // h for x in v]
+            return v
+    elif not ring.is_field:
+        return None
+    elif isinstance(ring, ModRing):
+        p = ring.m
+
+        def as_pivot(v, support):
+            inv = pow(v[support[0]], -1, p)
+            return support[0], [x * inv % p for x in v]
+
+        def clear(v, c, row, positions):
+            b = v[c]
+            for j in positions:
+                v[j] = (v[j] - b * row[j]) % p
+            return v
     else:
-        h = math.gcd(*v)
-        if v[c] < 0:
-            h = -h
-        v = [x // h for x in v]
-    return v, [j for j, x in enumerate(v) if x]
+        mul, add, neg = ring._mul, ring._add, ring._neg
+
+        def as_pivot(v, support):
+            inv = ring._inv(v[support[0]])
+            return support[0], [mul(inv, x) for x in v]
+
+        def clear(v, c, row, positions):
+            b = neg(v[c])
+            for j in positions:
+                v[j] = add(v[j], mul(b, row[j]))
+            return v
+    return as_pivot, clear
 
 
-def _clear(v, pivot, c, p):
-    """v less the multiple of a pivot row (from :func:`_as_pivot`) that
-    clears column c: mod a prime p, else fraction-free on integers (E. H.
-    Bareiss, Math. Comp. 22, 1968), scaling v when the pivot does not
-    divide v[c] and then dividing it by its content.  Only the pivot row's
-    nonzero positions are touched, and v is changed in place unless it is
-    scaled."""
-    row, support = pivot
-    b = v[c]
-    if p:
-        for j in support:
-            v[j] = (v[j] - b * row[j]) % p
-        return v
-    a = row[c]
-    h = math.gcd(a, b)
-    a, b = a // h, b // h
-    if a != 1:
-        v = [a * x for x in v]
-    for j in support:
-        v[j] -= b * row[j]
-    if a != 1:
-        h = math.gcd(*v)
-        if h > 1:
-            v = [x // h for x in v]
-    return v
+def _eliminate(vectors, steps, zero, width):
+    """The one exact elimination: each raw vector, in order, is reduced by
+    the row steps ``steps`` of :func:`_row_steps` against the pivot rows
+    made from the earlier independent vectors, with pivots among the first
+    ``width`` entries; no vector may be shorter than one before it.  Yields
+    None for a vector that becomes a pivot row, and the reduced vector for
+    every other one: zero on its first ``width`` entries, its later entries
+    the same combination of the inputs' later entries.
+    """
+    as_pivot, clear = steps
+    # entries are tested by truth, unless the zero itself is true (a tuple)
+    nonzero = (lambda v: map(zero.__ne__, v)) if zero else (lambda v: v)
+    pivots = []
+    for v in vectors:
+        v = list(v)  # reduced in place; the caller keeps its vectors
+        for c, row, positions in pivots:
+            if v[c] != zero:
+                v = clear(v, c, row, positions)
+        support = list(compress(range(width), nonzero(v)))
+        if support:
+            c, row = as_pivot(v, support)
+            pivots.append((c, row, list(compress(range(len(row)),
+                                                 nonzero(row)))))
+            yield None
+        else:
+            yield v
 
 
 class DegreeBlock:
@@ -438,13 +486,14 @@ class DegreeBlock:
     the rows hold ``int``s and a chain runs on integer vectors z_k with
     g^k(x) = z_k / scale**k.
 
-    Over ``Z``, ``Q`` and prime ``Z/p`` the block also finds, by exact
-    elimination, vectors g^k(x_j) that span g^k(H_d) (:meth:`spans`); on
-    every other ring ``prime`` is None and those methods return None.
+    Over ``Z`` and every field the block also finds, by the exact
+    elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
+    (:meth:`spans`); on every other ring ``steps`` is None and those
+    methods return None.
     """
 
     __slots__ = ("map", "labels", "index", "rows", "masks", "nonzeros",
-                 "scale", "raw", "dot", "zero", "prime")
+                 "scale", "raw", "dot", "zero", "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
@@ -452,13 +501,10 @@ class DegreeBlock:
         self.labels = labels = g.basis.labels_of_degree(d)
         self.index = index = {l: i for i, l in enumerate(labels)}
         images = [g.images[l].coeffs for l in labels]
-        self.scale, self.raw = _integer_scaling(
+        self.scale, self.raw, rows = _integer_scaling(
             ring, (c for img in images for c in img.values()))
-        if self.scale is None:
-            self.dot, self.zero = ring._dot, ring._zero
-        else:
-            self.dot, self.zero = ZZ._dot, 0
-        self.prime = _elimination_prime(ring)
+        self.dot, self.zero = rows._dot, rows._zero
+        self.steps = _row_steps(rows)
         cols = [[] for _ in labels]
         vals = [[] for _ in labels]
         masks = [0] * len(labels)
@@ -530,34 +576,16 @@ class DegreeBlock:
 
     def _independent(self, vectors):
         """Positions of the raw vectors that lie outside the span of the
-        vectors before them: the first basis of their span, in order.
-
-        The elimination is exact (:func:`_clear`): mod ``prime`` on a
-        prime field, else fraction-free on integer vectors.  A kept vector
-        becomes the pivot row of its entry of least absolute value.
-        """
-        p = self.prime
-        pivots, kept = [], []
-        for n, v in enumerate(vectors):
-            v = list(v)  # cleared in place; the caller keeps the vectors
-            for c, pivot in pivots:
-                if v[c]:
-                    v = _clear(v, pivot, c, p)
-            support = [i for i, x in enumerate(v) if x]
-            if not support:
-                continue
-            kept.append(n)
-            c = min(support, key=lambda i: abs(v[i]))
-            pivots.append((c, _as_pivot(v, c, p)))
-            if len(pivots) == len(v):
-                break
-        return kept
+        vectors before them, by :func:`_eliminate`: the first basis of
+        their span, in order."""
+        reduced = _eliminate(vectors, self.steps, self.zero, len(self.labels))
+        return [n for n, rest in enumerate(reduced) if rest is None]
 
     def spanning_columns(self):
         """Positions J of labels whose images span g(H_d), the pivot
         columns of an exact elimination of the block; None on a ring
         without one here."""
-        if self.prime is None:
+        if self.steps is None:
             return None
         return self._independent(
             [self._column(j)[0] for j in range(len(self.labels))])
@@ -573,7 +601,7 @@ class DegreeBlock:
         of the images before them, so its vectors are g^k(x_j) for labels
         x_j of a shrinking subset of J.
         """
-        if self.prime is None:
+        if self.steps is None:
             return None
         return self._spans()
 
@@ -666,15 +694,13 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     coefficient 1, then the keys of the pivot columns, in order.  Requires
     a field.
 
-    The elimination is Gauss-Jordan with leftmost pivots on integer rows
-    where the ring has them: over ``Q`` the whole matrix is scaled to
-    integers by one common denominator and eliminated fraction-free with
-    content division, over prime ``Z/p`` mod p on plain ints (the row steps
-    of :class:`DegreeBlock`).  An entry of the result is then
-    -row[c] / row[pivot]; over ``Q`` these are the only ``Fraction``s made.
-    A field without integer rows (``Q[q]/(f)``) is eliminated with its own
-    ring operations.  The reduced echelon form is unique, so the vectors do
-    not depend on the arithmetic.
+    The columns run through :func:`_eliminate` in order (over ``Q`` on
+    integer rows, scaled by one common denominator), column c tagged with
+    the unit vector e_c in c + 1 extra positions.  If it reduces to zero,
+    its tag t holds the relation t[c] col_c + sum_(j<c) t[j] col_j = 0,
+    with t[j] nonzero only on pivot columns.  That relation is unique up to
+    a factor, so t / t[c] is exactly the reduced-echelon kernel vector,
+    whatever the arithmetic.
     """
     if not ring.is_field:
         raise UnsupportedRingError(f"kernel computation needs a field, got {ring}")
@@ -683,67 +709,24 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     for k in keys:
         for rk in columns[k]:
             row_index.setdefault(rk, len(row_index))
-    scale, raw = _integer_scaling(
+    _, raw, rows = _integer_scaling(
         ring, (v for k in keys for v in columns[k].values()))
-    p = _elimination_prime(ring)
-    if p is None:
-        zero = ring._zero
-        as_pivot, clear = _field_row_steps(ring)
-    else:
-        zero = 0
-        as_pivot = lambda v, c: _as_pivot(v, c, p)
-        clear = lambda v, row, c: _clear(v, row, c, p)
-    ncols, nrows = len(keys), len(row_index)
-    mat = [[zero] * ncols for _ in range(nrows)]
-    for j, k in enumerate(keys):
-        for rk, v in columns[k].items():
-            mat[row_index[rk]][j] = raw(v)
-    pivot_cols = []
-    for c in range(ncols):
-        r = len(pivot_cols)
-        i = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
-        if i is None:
-            continue
-        pivot = as_pivot(mat[i], c)
-        mat[i], mat[r] = mat[r], pivot[0]
-        for i, row in enumerate(mat):
-            if i != r and row[c] != zero:
-                mat[i] = clear(row, pivot, c)
-        pivot_cols.append(c)
-        if r + 1 == nrows:
-            break
-    # a pivot row holds 1 at its pivot, or over Q a positive integer
-    if scale is None:
-        entry = lambda v, pivot: ring._neg(v)
-    else:
-        entry = lambda v, pivot: Fraction(-v, pivot)
-    pivots = [(pc, mat[i]) for i, pc in enumerate(pivot_cols)]
+    zero, width = rows._zero, len(row_index)
+
+    def tagged():
+        for c, k in enumerate(keys):
+            v = [zero] * (width + c + 1)
+            for rk, x in columns[k].items():
+                v[row_index[rk]] = raw(x)
+            v[width + c] = rows._one
+            yield v
+
     kernel = []
-    for c in sorted(set(range(ncols)) - set(pivot_cols)):
-        vec = {keys[c]: ring._one}
-        for pc, row in pivots:
-            v = row[c]
-            if v != zero:
-                vec[keys[pc]] = entry(v, row[pc])
-        kernel.append(vec)
+    for c, t in enumerate(_eliminate(tagged(), _row_steps(rows), zero, width)):
+        if t is not None:
+            # t / t[c] over ``ring``, keys[c] first
+            t, value = t[width:], ring._value
+            inv = ring._inv(value(t[c]))
+            kernel.append({keys[j]: ring._mul(value(t[j]), inv)
+                           for j in (c, *range(c)) if t[j] != zero})
     return kernel
-
-
-def _field_row_steps(ring: Ring):
-    """:func:`_as_pivot` and :func:`_clear` in the raw operations of a
-    field, for a field without integer rows."""
-    mul, add, neg, zero = ring._mul, ring._add, ring._neg, ring._zero
-
-    def as_pivot(v, c):
-        inv = ring._inv(v[c])
-        v = [mul(inv, x) for x in v]
-        return v, [j for j, x in enumerate(v) if x != zero]
-
-    def clear(v, pivot, c):
-        row, support = pivot
-        b = neg(v[c])
-        for j in support:
-            v[j] = add(v[j], mul(b, row[j]))
-        return v
-
-    return as_pivot, clear

@@ -47,6 +47,7 @@ class HopfPresentation:
         self._coproduct_cache: dict = {}
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
+        self._antipode_squared: GradedMap | None = None
 
     # basic accessors -----------------------------------------------------
     @property
@@ -203,6 +204,13 @@ class HopfPresentation:
         if self._antipode is None:
             self._antipode = self._recursive_antipode(right=False)
         return self._antipode
+
+    def antipode_squared(self) -> GradedMap:
+        """S o S for the antipode S of :meth:`antipode` (cached)."""
+        if self._antipode_squared is None:
+            S = self.antipode()
+            self._antipode_squared = S.compose(S)
+        return self._antipode_squared
 
     def antipode_oracle(self) -> GradedMap:
         """Independent antipode from the right axiom recursion (cached).

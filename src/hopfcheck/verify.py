@@ -22,15 +22,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import zoo
 from .errors import StructuralError
 from .gmod import (DegreeBlock, Element, GradedBasis, GradedMap, Tensor2Element,
                    _same_module, kernel_vectors, tensor_sum_vanishes)
 from .hopf import HopfPresentation
-from .rings import Ring, binomial
+from .rings import Ring, binomial, is_prime
 from .reduced import (is_primitive, middle_bidegree_failure,
                       reduced_coproduct_label)
 from .report import (EXPECTED_NONIDENTITY, FAIL, NOT_CHECKED, PASS, Report,
                      witness_of)
+from .specfile import export_presentation
 
 
 @dataclass
@@ -80,7 +82,7 @@ def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
     """Instance with delta the reduced coproduct and e, f even antipode powers.
 
     ``e_spec``/``f_spec`` are "id", "S2" or "S4" (equivalently 0, 2, 4 as
-    exponents of the antipode).
+    exponents of the antipode), built as powers of the cached S^2.
     """
     H.require_connected()
 
@@ -90,7 +92,7 @@ def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
         exponent = {"S2": 2, "S4": 4}.get(spec, spec)
         if not isinstance(exponent, int) or exponent % 2 or exponent < 0:
             raise StructuralError(f"bad endomap spec {spec!r}")
-        return H.antipode().power(exponent)
+        return H.antipode_squared().power(exponent // 2)
 
     delta = {l: reduced_coproduct_label(H, l) for l in H.basis.labels}
     return PreCoalgebraInstance(f"{H.name}[{e_spec},{f_spec},p={p}]",
@@ -165,11 +167,12 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     is built.  The exponent-0 steps are tested on every label, and every
     exponent k >= 1 on the vectors of ``block.spans()``, which span
     g^k of the degree; since every target is a subspace, the degree passes
-    when they all pass.  Over ``Z``, ``Q`` and prime ``Z/p`` the spans
-    come from exact elimination.  On every other ring, on a sparse block
-    (under a quarter of its entries nonzero, where the walk is cheaper
-    than the elimination), and when a test fails on the spans, the degree
-    is walked label by label instead.
+    when they all pass.  Over ``Z`` and every field the spans come from
+    exact elimination.  On the other rings (composite ``Z/m``, ``Z[q]/(f)``,
+    ``Q[q]/(f)`` not declared a field), on a sparse block (under a quarter
+    of its entries nonzero, where the walk is cheaper than the
+    elimination), and when a test fails on the spans, the degree is walked
+    label by label instead.
 
     The walk follows each label's chain x, g(x), g^2(x), ... on the block
     only as far as some check still needs it, and boxes y into an Element
@@ -276,10 +279,11 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
     Each identity is decided by :func:`tensor_sum_vanishes` as one operator
     T = sum_i c_i (A_i (x) B_i) being zero.  That is exact over every ring,
     zero divisors included: the a (x) b are a basis of D (x) D, so T = 0
-    exactly when sum_i c_i A_i(x)[a] B_i vanishes for every (x, a).  h^k is
-    carried as simple tensors (c, A, B) from (1, id, id); a step maps each
-    to (c, e o A, e o B) and (-c, f o A, f o B) and merges equal map pairs,
-    so its coefficients never come from ``binomial``.
+    exactly when sum_i c_i A_i(x)[a] B_i vanishes for every (x, a).  Each
+    term of h^k applies one map A to both factors, so h^k is carried as
+    terms (c, A) for c (A (x) A), from (1, id); a step maps each to
+    (c, e o A) and (-c, f o A) and merges equal maps: no coefficient comes
+    from ``binomial``.
     """
     rep = Report(f"binomial-identity({I.name})")
     e, f, g = I.e, I.f, I.g
@@ -311,26 +315,25 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
             None if lemma_ok else "tensor factors do not commute")
 
     bad = None
-    h_pow = [(one, e_pows[0], e_pows[0])]
+    h_pow = [(one, e_pows[0])]
     for k in range(K + 1):
         if k > 0:
-            # (e(x)e - f(x)f) o h^(k-1), terms with equal map pairs merged
-            images = [term for c, A, B in h_pow
-                      for term in ((c, e.compose(A), e.compose(B)),
-                                   (neg(c), f.compose(A), f.compose(B)))]
+            # (e(x)e - f(x)f) o h^(k-1), terms with equal maps merged
+            images = [term for c, A in h_pow
+                      for term in ((c, e.compose(A)), (neg(c), f.compose(A)))]
             h_pow = []
-            for c, A, B in images:
-                n = next((n for n, term in enumerate(h_pow)
-                          if term[1] == A and term[2] == B), None)
+            for c, A in images:
+                n = next((n for n, (_, B) in enumerate(h_pow) if B == A), None)
                 if n is None:
-                    h_pow.append((c, A, B))
+                    h_pow.append((c, A))
                 else:
-                    h_pow[n] = (I.ring._add(h_pow[n][0], c), A, B)
+                    h_pow[n] = (I.ring._add(h_pow[n][0], c), A)
         # minus the terms C(k,r) (e^(k-r) o g^r) (x) (f^r o g^(k-r))
         right = [(neg(I.ring._embed_int(binomial(k, r))),
                   e_pows[k - r].compose(g_pows[r]),
                   f_pows[r].compose(g_pows[k - r])) for r in range(k + 1)]
-        if not tensor_sum_vanishes(I.basis, I.ring, h_pow + right):
+        if not tensor_sum_vanishes(I.basis, I.ring,
+                                   [(c, A, A) for c, A in h_pow] + right):
             bad = witness_of(k)
             break
     rep.add("binomial-expansion",
@@ -358,9 +361,8 @@ def _non_primitive(H: HopfPresentation):
 
 def _antipode_chain_maps(H: HopfPresentation):
     """g = id - S^2 and the extra annihilator id + S of its chains."""
-    S = H.antipode()
     ident = GradedMap.identity(H.basis, H.ring)
-    return ident - S.compose(S), ident + S
+    return ident - H.antipode_squared(), ident + H.antipode()
 
 
 def suite_corollary_filtered(H: HopfPresentation, e: GradedMap, f: GradedMap,
@@ -430,22 +432,15 @@ def suite_lowered_exponent(H: HopfPresentation, p: int) -> Report:
         H.basis.labels_between(2, p), premise_failure)
 
     if p == 2 and 2 <= N:
-        comm_bad = None
-        for l1 in H.basis.labels_of_degree(1):
-            for l2 in H.basis.labels_of_degree(1):
-                if H.product_of_labels(l1, l2) != H.product_of_labels(l2, l1):
-                    comm_bad = witness_of((l1, l2))
-                    break
-            if comm_bad:
-                break
+        pairs = itertools.product(H.basis.labels_of_degree(1), repeat=2)
+        comm_bad = next((witness_of((a, b)) for a, b in pairs
+                         if H.product_of_labels(a, b) != H.product_of_labels(b, a)),
+                        None)
+        statement = "ab = ba for all degree-1 basis pairs (sufficient condition)"
         if comm_bad is None:
-            rep.add("degree-1-commutativity",
-                    "ab = ba for all degree-1 basis pairs (sufficient condition)",
-                    PASS)
+            rep.add("degree-1-commutativity", statement, PASS)
         else:
-            rep.add("degree-1-commutativity",
-                    "ab = ba for all degree-1 basis pairs (sufficient condition)",
-                    NOT_CHECKED,
+            rep.add("degree-1-commutativity", statement, NOT_CHECKED,
                     f"condition absent ({comm_bad}); it is sufficient, not necessary")
 
     if not premise_ok:
@@ -468,8 +463,7 @@ def suite_antipode_props(H: HopfPresentation) -> Report:
     """Basic antipode facts: S^2 is a coalgebra morphism, S fixes the unit,
     S negates primitives, S reverses degree-1 products."""
     rep = Report(f"antipode-props({H.name})")
-    S = H.antipode()
-    S2 = S.compose(S)
+    S, S2 = H.antipode(), H.antipode_squared()
     labels = H.basis.labels
 
     rep.per_label("squared-coalgebra-morphism",
@@ -543,19 +537,33 @@ def suite_oracle_agreement(H: HopfPresentation) -> Report:
     return rep
 
 
-def suite_taft_remark(n: int, K: int = 10) -> Report:
+def _require_taft(H: HopfPresentation) -> int:
+    """The rank n of H's degree 0, when H has every table of ``zoo.taft(n)``
+    (its exported spec, line by line); else a StructuralError names the
+    first line that differs."""
+    n = H.basis.rank(0)
+    if not is_prime(n):
+        raise StructuralError(f"{H.name} is not a Taft presentation: its "
+                              f"degree 0 has rank {n}, not a prime")
+    # every line but the header and the name
+    mine, taft = (export_presentation(P).splitlines()[2:]
+                  for P in (H, zoo.taft(n)))
+    for line, expected in itertools.zip_longest(mine, taft):
+        if line != expected:
+            raise StructuralError(f"{H.name} is not the Taft algebra taft{n}: "
+                                  f"found {line!r} where it has {expected!r}")
+    return n
+
+
+def suite_taft_remark(H: HopfPresentation, K: int = 10) -> Report:
     """The Taft algebra's antipode square acts on the skew-primitive x by a
-    nontrivial root of unity, so no power of id - S^2 kills it."""
-    from . import zoo
-
-    H = zoo.taft(n)
+    nontrivial root of unity, so no power of id - S^2 kills it.  H must
+    present a Taft algebra (:func:`_require_taft`)."""
+    n = _require_taft(H)
     rep = Report(f"taft-remark(n={n})")
-    axioms = H.verify_antipode_axioms()
-    for c in axioms.checks:
-        rep.checks.append(c)
+    rep.checks.extend(H.verify_antipode_axioms().checks)
 
-    S = H.antipode()
-    S2 = S.compose(S)
+    S2 = H.antipode_squared()
     q = H.ring.element([0, 1])
     q_inv = q ** (n - 1)
     x = H.element(zoo._taft_label(0, 1))

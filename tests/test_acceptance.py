@@ -97,7 +97,7 @@ def test_acceptance_05_taft_remark():
         H = taft(3)
         ok = len(H.basis.labels) == 9
         ok &= H.verify_antipode_axioms().ok()
-        rep = suite_taft_remark(3, K=10)
+        rep = suite_taft_remark(H, K=10)
         ok &= rep.ok()
         st = {c.claim: c for c in rep.checks}
         ok &= st["squared-action"].status == "pass"

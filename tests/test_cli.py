@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from hopfcheck.cli import main
+from hopfcheck.gmod import GradedMap
+from hopfcheck.hopf import HopfPresentation
 
 
 def run(capsys, *argv):
@@ -183,6 +185,66 @@ def test_connected_only_suites_reject_taft(capsys, suite):
     assert code == 1
     assert "taft3 is not connected" in err
     assert out == ""
+
+
+def test_taft_remark_rejects_a_spec_that_is_not_taft(tmp_path, capsys):
+    path = tmp_path / "abc3.hspec"
+    assert run(capsys, "export", "--algebra", "abc", "--maxdeg", "3",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "verify", "--spec", str(path),
+                         "--suite", "taft-remark")
+    assert code == 1
+    assert out == ""
+    assert "abc is not a Taft presentation" in err
+
+
+def test_taft_remark_names_the_table_line_that_differs(tmp_path, capsys):
+    path = tmp_path / "taft3.hspec"
+    assert run(capsys, "export", "--algebra", "taft", "--out", str(path))[0] == 0
+    text = path.read_text()
+    line = "product a1x0 a0x1 = (1,0) a1x1"
+    assert text.count(line + "\n") == 1
+    path.write_text(text.replace(line, "product a1x0 a0x1 = (0,1) a1x1"))
+    code, out, err = run(capsys, "verify", "--spec", str(path),
+                         "--suite", "taft-remark")
+    assert code == 1
+    assert out == ""
+    assert "taft3 is not the Taft algebra taft3" in err
+    assert repr(line) in err
+
+
+def test_taft_remark_on_an_exported_spec_matches_the_built_in(tmp_path,
+                                                             capsys):
+    path = tmp_path / "taft3.hspec"
+    assert run(capsys, "export", "--algebra", "taft", "--out", str(path))[0] == 0
+    reports = []
+    for source in (("--algebra", "taft"), ("--spec", str(path))):
+        code, out, _ = run(capsys, "verify", *source, "--suite", "taft-remark",
+                           "--format", "structured")
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_default_suites_compose_the_squared_antipode_once(monkeypatch, capsys):
+    antipodes, squares = [], []
+    antipode, compose = HopfPresentation.antipode, GradedMap.compose
+
+    def recorded_antipode(self):
+        S = antipode(self)
+        antipodes.append(S)
+        return S
+
+    def recorded_compose(self, other):
+        if any(self is S and other is S for S in antipodes):
+            squares.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(HopfPresentation, "antipode", recorded_antipode)
+    monkeypatch.setattr(GradedMap, "compose", recorded_compose)
+    code, _, _ = run(capsys, "verify", "--algebra", "abc", "--maxdeg", "4")
+    assert code == 0
+    assert len(squares) == 1
 
 
 def test_oracle_agreement_not_checked_on_taft(capsys):

@@ -36,7 +36,15 @@ reports over the fields Q and Z/5, where their Ker delta checks
 specs of ``PERTURBATIONS`` and of ``COUNIT_PERTURBATION`` exported over
 each field (p = 1..3 for ``theorem1``).  These digests were recorded
 before the kernels were eliminated on integer rows and the factorization
-compared on raw values.
+compared on raw values.  It also pins the chains over the declared field
+Q[q]/(1,0,1): ``graded-hopf``, ``lowered-exponent --p 2`` and ``filtered
+--p 2`` on ``fqsym`` at maxdeg 4, built in and as a spec perturbed by
+``FQSYM_FIELD_PERTURBATION``, recorded while those chains were still
+walked label by label, before they were decided on spans.
+
+In ``golden_reports.json`` the ``taft-remark`` reports on the connected
+zoo algebras are exit 1 with no report: the suite reads its input, and
+none of them presents a Taft algebra.
 """
 
 import ast
@@ -71,6 +79,11 @@ PERTURBATIONS = {
 # middle bidegrees
 COUNIT_PERTURBATION = ("coproduct a =", "+ 1 a 1", "+ 2 a 1 + 1 a 1", "a")
 FQSYM_PERTURBATION = ("coproduct 132 =", "+ 1 12 1", "+ 2 12 1", "132")
+QFIELD = "Q[q]/(1,0,1)"
+FQSYM_FIELD_PERTURBATION = ("coproduct 132 =", "+ (1,0) 12 1",
+                            "+ (2,0) 12 1", "132")
+DENSE_SUITES = (("graded-hopf", "1"), ("lowered-exponent", "2"),
+                ("filtered", "2"))
 
 
 def verify_structured(*argv):
@@ -188,8 +201,7 @@ def test_perturbed_fqsym_witness_names_its_label(tmp_path):
 def test_dense_block_reports_match_golden_digests():
     seen = {}
     for ring in ("Z", "Q", "Z/5"):
-        for suite, p in (("graded-hopf", "1"), ("lowered-exponent", "2"),
-                         ("filtered", "2")):
+        for suite, p in DENSE_SUITES:
             seen[f"fqsym5|{ring}|{suite}|{p}"] = structured(
                 "--algebra", "fqsym", "--ring", ring, "--maxdeg", "5",
                 "--suite", suite, "--p", p)
@@ -211,6 +223,14 @@ def test_field_kernel_reports_match_golden_digests(tmp_path):
                         "--spec", spec, "--suite", suite, "--p", p)
                     seen[key] = [code, hashlib.sha256(
                         texts[key].encode()).hexdigest()]
+    spec = str(perturbed_spec(tmp_path / "fqsym4-qfield.hspec", "fqsym",
+                              FQSYM_FIELD_PERTURBATION, QFIELD))
+    for suite, p in DENSE_SUITES:
+        seen[f"fqsym4|{QFIELD}|{suite}|{p}"] = structured(
+            "--algebra", "fqsym", "--ring", QFIELD, "--maxdeg", "4",
+            "--suite", suite, "--p", p)
+        seen[f"fqsym4-coproduct-132|{QFIELD}|{suite}|{p}"] = structured(
+            "--spec", spec, "--suite", suite, "--p", p)
     assert seen == GOLDEN_FIELDS
     # the counit perturbation fails the factorization and the degree bound
     status = {check["claim"]: check["status"]

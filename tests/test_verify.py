@@ -15,7 +15,7 @@ from hopfcheck.verify import (PreCoalgebraInstance, binomial_identity_check,
                               suite_graded_hopf, suite_lowered_exponent,
                               suite_oracle_agreement, suite_taft_remark,
                               verify_conclusions)
-from hopfcheck.zoo import free_example_abc, fqsym, shuffle_algebra
+from hopfcheck.zoo import free_example_abc, fqsym, shuffle_algebra, taft
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,21 @@ def test_binomial_identity_applies_no_map_to_tensors(monkeypatch):
     assert not calls
 
 
+def test_binomial_identity_composes_each_h_term_once(monkeypatch):
+    """At K = 3: 6 compositions for the powers of e, f and g, 32 for
+    power-commutation, 4 for tensor-commutation and 20 for the right
+    sides, and 2 + 4 + 6 for the h^k steps, which compose one map per term
+    (h^2 has the 3 terms e o e, e o f = f o e and f o f)."""
+    H = free_example_abc(ModRing(5), 3)
+    inst = instance_from_hopf(H, "id", "S2", 1)
+    calls = []
+    compose = GradedMap.compose
+    monkeypatch.setattr(GradedMap, "compose", lambda self, other:
+                        calls.append(1) or compose(self, other))
+    assert binomial_identity_check(inst, K=3).ok()
+    assert len(calls) == 6 + 32 + 4 + 20 + 12
+
+
 def test_binomial_identity_detects_noncommuting():
     B = free_example_abc(QQ, 3).basis
     # e shifts a <-> b, f kills b: these do not commute
@@ -385,7 +400,7 @@ def test_oracle_agreement_suite(abc):
 
 
 def test_taft_remark_suite():
-    rep = suite_taft_remark(3)
+    rep = suite_taft_remark(taft(3))
     assert rep.ok()
     st = statuses(rep)
     assert st["squared-action"] == "pass"
