@@ -484,7 +484,8 @@ class DegreeBlock:
     row i, and ``nonzeros`` counts the entries.  Over ``Q`` every entry is
     scaled to an integer by the lcm ``scale`` of their denominators, so
     the rows hold ``int``s and a chain runs on integer vectors z_k with
-    g^k(x) = z_k / scale**k.
+    g^k(x) = z_k / scale**k, boxed in canonical form (an ``int`` where
+    integral).
 
     Over ``Z`` and every field the block also finds, by the exact
     elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
@@ -647,7 +648,8 @@ class DegreeBlock:
                 labels[i]: y[i] for i in support})
         denominator = self.scale ** k
         return lambda: Element._of(g.basis, ring, {
-            labels[i]: Fraction(y[i], denominator) for i in support})
+            labels[i]: ring._canon(Fraction(y[i], denominator))
+            for i in support})
 
 
 class Tensor2Map:
@@ -724,9 +726,10 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     kernel = []
     for c, t in enumerate(_eliminate(tagged(), _row_steps(rows), zero, width)):
         if t is not None:
-            # t / t[c] over ``ring``, keys[c] first
-            t, value = t[width:], ring._value
-            inv = ring._inv(value(t[c]))
-            kernel.append({keys[j]: ring._mul(value(t[j]), inv)
+            # t / t[c] over ``ring``, keys[c] first; the integer rows of
+            # ``Q`` hold its raw values too
+            t = t[width:]
+            inv = ring._inv(t[c])
+            kernel.append({keys[j]: ring._mul(t[j], inv)
                            for j in (c, *range(c)) if t[j] != zero})
     return kernel

@@ -2,9 +2,10 @@
 
 Supported rings: the integers ``Z``, the rationals ``Q``, the modular rings
 ``Z/m`` (m >= 2), and monic polynomial quotients ``R[q]/(f)`` with R in
-{Z, Q}.  Elements are kept canonical at all times (reduced fractions,
-residues in [0, m), polynomial residues of degree < deg f), so equality is
-plain representation equality.
+{Z, Q}.  Elements are kept canonical at all times (a rational is an ``int``
+when integral and a reduced ``Fraction`` otherwise, residues in [0, m),
+polynomial residues of degree < deg f), so equality is plain
+representation equality.
 
 The string grammar accepted by :func:`ring_from_string` is the one used by
 the CLI and by algebra spec files::
@@ -250,29 +251,47 @@ class IntegerRing(Ring):
         return "Z"
 
 
+def _rational(x):
+    """The int or Fraction x as a canonical raw value of ``Q``."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class RationalRing(Ring):
+    """The rationals.  A raw value is an ``int`` when it is integral and a
+    reduced ``Fraction`` with denominator > 1 otherwise, so integer-valued
+    work runs on native ints; both compare, hash and print alike."""
+
     is_field = True
 
     def _canon(self, value):
-        return Fraction(value)
+        return _rational(Fraction(value))
 
     def _embed_int(self, n):
-        return Fraction(n)
+        return n
 
-    _add = staticmethod(operator.add)
-    _mul = staticmethod(operator.mul)
+    # _rational inlined: these two run in every sum and product over Q
+    @staticmethod
+    def _add(a, b):
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+    @staticmethod
+    def _mul(a, b):
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
     _neg = staticmethod(operator.neg)
 
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _rational(Fraction(1, a))
 
     def format_value(self, value):
         return str(value)
 
     def parse_value(self, text):
-        return RingElement(self, Fraction(text))
+        return RingElement(self, self._canon(text))
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -412,8 +431,7 @@ class PolyQuotientRing(Ring):
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 is the gcd; a unit since the modulus is irreducible
         lead = r0[_poly_deg(r0)]
-        inv = [c / lead for c in s0]
-        return self._reduce(inv)
+        return self._canon([c / lead for c in s0])
 
     def format_value(self, value):
         return "(" + ",".join(self.base.format_value(c) for c in value) + ")"

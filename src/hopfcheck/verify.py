@@ -295,15 +295,12 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
 
     e_pows, f_pows, g_pows = _powers(e, K), _powers(f, K), _powers(g, K)
 
-    def commutation_failure(ij):
-        i, j = ij
-        if g_pows[i].compose(e_pows[j]) == e_pows[j].compose(g_pows[i]):
-            return None
-        return witness_of(ij)
-
-    rep.first_failure("power-commutation", "g^i o e^j = e^j o g^i",
-                      itertools.product(range(K + 1), repeat=2),
-                      commutation_failure)
+    # g o e = e o g gives every g^i o e^j = e^j o g^i, and the pairs with
+    # i = 0 or j = 0 hold trivially, so one comparison decides the check
+    # and (1, 1) is its first failing pair
+    commute = K == 0 or g.compose(e) == e.compose(g)
+    rep.add("power-commutation", "g^i o e^j = e^j o g^i",
+            PASS if commute else FAIL, None if commute else witness_of((1, 1)))
 
     one, neg = I.ring._one, I.ring._neg
     # (g(x)f) o (e(x)g) - (e(x)g) o (g(x)f)

@@ -12,12 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.gmod import DegreeBlock, Element, GradedMap, kernel_vectors
-from hopfcheck.reduced import reduced_coproduct_label
+from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
+                            kernel_vectors)
+from hopfcheck.reduced import delta_kernel_vectors, reduced_coproduct_label
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing, RingElement
 from hopfcheck.zoo import build_algebra
 
-RINGS = [ZZ, QQ, ModRing(5), ModRing(6), PolyQuotientRing(ZZ, [1, 1, 1])]
+RINGS = [ZZ, QQ, ModRing(5), ModRing(6), PolyQuotientRing(ZZ, [1, 1, 1]),
+         PolyQuotientRing(QQ, [1, 0, 1], irreducible=True)]
 
 
 def assert_raw(ring, coeffs):
@@ -77,3 +79,34 @@ def test_elements_hold_canonical_raw_values(name, ring):
         for vector in vectors:
             assert_raw(ring, vector)
 
+
+@pytest.mark.parametrize("name", ["fqsym", "tensor"])
+def test_integral_rationals_are_ints(name):
+    """Every zoo structure constant is an integer, so over ``Q`` the tables,
+    S, S^2 and a kernel basis of the reduced coproduct hold only ints."""
+    H = build_algebra(name, QQ, 4)
+    labels = H.basis.labels
+    elements = [H.coproduct_of_label(l) for l in labels]
+    elements += [H.product_of_labels(l1, l2) for l1 in labels
+                 for l2 in H.basis.labels_up_to(4 - H.degree_of(l1))]
+    for f in (H.antipode(), H.antipode_squared()):
+        elements += f.images.values()
+    kernel = delta_kernel_vectors(H)
+    assert kernel
+    for x in elements + kernel:
+        assert {type(c) for c in x.coeffs.values()} <= {int}
+
+
+def test_scaled_block_steps_return_to_ints():
+    """g(x) = 2y, g(y) = x/2 scales the block by 2, and g^2(x) = x is
+    stored as 4x / 2^2: the boxed step holds the int 1."""
+    B = GradedBasis([["u"], ["x", "y"]])
+    vector = lambda l, c: Element(B, QQ, {l: c})
+    g = GradedMap(B, QQ, {"u": vector("u", 0), "x": vector("y", 2),
+                          "y": vector("x", Fraction(1, 2))})
+    block = DegreeBlock(g, 1)
+    assert block.scale == 2
+    steps = [box().coeffs for box in itertools.islice(block.chain("x"), 5)]
+    assert steps == [{"x": 1}, {"y": 2}, {"x": 1}, {"y": 2}, {"x": 1}]
+    for coeffs in steps:
+        assert_raw(QQ, coeffs)

@@ -126,6 +126,58 @@ def test_canonicalization_idempotent(ring, data):
     assert ring.element(a.value) == a
 
 
+# --- the canonical form of Q ----------------------------------------------
+
+# canonical raw values of Q: ints, and Fractions with denominator > 1
+RATIONALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+    .filter(lambda x: x.denominator > 1))
+
+
+def assert_canonical_rational(value, expected):
+    """value equals the Fraction ``expected`` and is an int exactly when
+    it is integral, else a Fraction; never a float or a bool."""
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@given(a=RATIONALS, b=RATIONALS, xs=st.lists(RATIONALS, max_size=6),
+       ys=st.lists(RATIONALS, max_size=6), k=st.integers(1, 5))
+def test_rational_raw_values_are_ints_exactly_when_integral(a, b, xs, ys, k):
+    A, B = Fraction(a), Fraction(b)
+    assert_canonical_rational(QQ._add(a, b), A + B)
+    assert_canonical_rational(QQ._mul(a, b), A * B)
+    assert_canonical_rational(QQ._neg(a), -A)
+    if a != 0:
+        assert_canonical_rational(QQ._inv(a), 1 / A)
+    ys = ys + [0] * (len(xs) - len(ys))
+    assert_canonical_rational(
+        QQ._dot(xs, ys), sum(map(Fraction.__mul__, map(Fraction, xs), ys)))
+    assert_canonical_rational(QQ._canon(A), A)
+    assert_canonical_rational(QQ._canon(a), A)
+    # unreduced text, such as "4/2"
+    text = f"{A.numerator * k}/{A.denominator * k}"
+    assert_canonical_rational(QQ.parse_value(text).value, A)
+    assert_canonical_rational(QQ.parse_value(str(a)).value, A)
+    assert_canonical_rational(QQ.embed(A.numerator).value, Fraction(A.numerator))
+
+
+@pytest.mark.parametrize("ring", [PolyQuotientRing(QQ, [1, 0, 1],
+                                                   irreducible=True),
+                                  QEISENSTEIN], ids=repr)
+@given(a=RATIONALS, b=RATIONALS)
+def test_quotient_inverse_holds_canonical_rationals(ring, a, b):
+    """``_inv`` itself returns canonical base values; ``_mul`` would
+    re-normalize them, so the raw result is checked directly."""
+    if a == 0 and b == 0:
+        return
+    inv = ring._inv((a, b))
+    for c in inv:
+        assert type(c) is type(QQ._canon(c)) and c == QQ._canon(c)
+    assert ring._mul((a, b), inv) == ring._one
+
+
 # --- binomial --------------------------------------------------------------
 
 def test_binomial():

@@ -310,7 +310,7 @@ def test_binomial_identity_applies_no_map_to_tensors(monkeypatch):
 
 
 def test_binomial_identity_composes_each_h_term_once(monkeypatch):
-    """At K = 3: 6 compositions for the powers of e, f and g, 32 for
+    """At K = 3: 6 compositions for the powers of e, f and g, 2 for
     power-commutation, 4 for tensor-commutation and 20 for the right
     sides, and 2 + 4 + 6 for the h^k steps, which compose one map per term
     (h^2 has the 3 terms e o e, e o f = f o e and f o f)."""
@@ -321,7 +321,7 @@ def test_binomial_identity_composes_each_h_term_once(monkeypatch):
     monkeypatch.setattr(GradedMap, "compose", lambda self, other:
                         calls.append(1) or compose(self, other))
     assert binomial_identity_check(inst, K=3).ok()
-    assert len(calls) == 6 + 32 + 4 + 20 + 12
+    assert len(calls) == 6 + 2 + 4 + 20 + 12
 
 
 def test_binomial_identity_detects_noncommuting():
@@ -340,6 +340,31 @@ def test_binomial_identity_detects_noncommuting():
     inst = PreCoalgebraInstance("broken", B, QQ, delta, e, f, 1)
     rep = binomial_identity_check(inst, K=2)
     assert statuses(rep)["precondition"] == "fail"
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_power_commutation_first_failing_pair(monkeypatch, K):
+    """f o e = e o f gives g o e = e o g for g = e - f, so the check can
+    only fail with g replaced; it fails with the pair (1, 1), the first
+    pair of its scan that is not trivial, and passes at K = 0."""
+    H = free_example_abc(QQ, 3)
+    B = H.basis
+    # e swaps a and b, f = e, and the planted g kills b
+    e_images = {l: Element.basis_vector(B, QQ, l) for l in B.labels}
+    e_images["a"], e_images["b"] = e_images["b"], e_images["a"]
+    g_images = {l: Element.basis_vector(B, QQ, l) for l in B.labels}
+    g_images["b"] = Element.zero(B, QQ)
+    e = GradedMap(B, QQ, e_images)
+    delta = {l: reduced_coproduct_label(H, l) for l in B.labels}
+    inst = PreCoalgebraInstance("planted", B, QQ, delta, e, e, 1)
+    monkeypatch.setattr(PreCoalgebraInstance, "g",
+                        property(lambda self: GradedMap(B, QQ, g_images)))
+    checks = binomial_identity_check(inst, K).to_dict()["checks"]
+    assert checks[1] == {"claim": "power-commutation",
+                         "statement": "g^i o e^j = e^j o g^i",
+                         "status": "fail", "witness": "(1, 1)"}
+    assert statuses(binomial_identity_check(inst, 0))[
+        "power-commutation"] == "pass"
 
 
 # --- corollary suites ------------------------------------------------------
