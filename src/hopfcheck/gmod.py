@@ -11,23 +11,28 @@ building the tensor-product map, and :func:`tensor_sum_vanishes` decides
 whether a sum of such pairs is the zero operator.
 
 All coefficient arithmetic on these dicts runs through one accumulator,
-:func:`_accumulate`, under :meth:`_Sparse.lincomb`.  Iterating one map on
-one degree, as the nilpotency chains do, runs on a :class:`DegreeBlock`
-instead: raw rows and one ``Ring._dot`` per touched row.  Exact linear
-algebra runs through one incremental elimination, :func:`_eliminate`, with
-row steps chosen once per ring: it finds the spanning sets of a block and
-the kernels of :func:`kernel_vectors`.
+:func:`_accumulate`, under :meth:`_Sparse.lincomb`, but for the dense
+blocks that :meth:`GradedMap.compose` packs (:func:`_packed_product`).
+Iterating one map on one degree, as the nilpotency chains do, runs on a
+:class:`DegreeBlock` instead: raw rows and one ``Ring._dot`` per touched
+row.  Exact linear algebra runs through one incremental elimination,
+:func:`_eliminate`, with row steps chosen once per ring: it finds the
+spanning sets of a block and the kernels of :func:`kernel_vectors`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction
 from itertools import compress
 
 from .errors import StructuralError, UnsupportedRingError
 from .rings import (ZZ, IntegerRing, ModRing, RationalRing, Ring,
-                    RingElement)
+                    RingElement, _rational)
+
+_WORDS = {struct.calcsize(code): code for code in "BHIQ"}  # unsigned, by size
 
 
 class GradedBasis:
@@ -43,6 +48,7 @@ class GradedBasis:
                     raise StructuralError(f"duplicate basis label {label!r}")
                 self._degree_of[label] = d
         self.labels = tuple(self._degree_of)
+        self._label_sets = tuple(map(frozenset, self.degrees))
 
     def degree_of(self, label: str) -> int:
         try:
@@ -251,10 +257,10 @@ class GradedMap:
         for label, img in images.items():
             _check_ring(ring, img)
             bound = basis.degree_of(label)
-            bad = [d for d in img.degrees() if d != bound]
-            if bad:
+            if not img.coeffs.keys() <= basis._label_sets[bound]:
+                bad = max(d for d in img.degrees() if d != bound)
                 raise StructuralError(
-                    f"image of {label!r} has degree {max(bad)}, "
+                    f"image of {label!r} has degree {bad}, "
                     f"violating the degree bound {bound}")
 
     @classmethod
@@ -282,19 +288,25 @@ class GradedMap:
                                ((c, images[l], None) for l, c in x.coeffs.items()))
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
+        """self after other, by blocks (:func:`_packed_product`) or labels."""
         self._check(other)
-        return GradedMap(self.basis, self.ring, {l: self._apply(other.images[l])
-                                                 for l in self.basis.labels})
+        images = {}
+        for labels in self.basis.degrees:
+            images.update(_packed_product(self, other, labels) or
+                          {l: self._apply(other.images[l]) for l in labels})
+        return GradedMap(self.basis, self.ring, images)
 
-    def __add__(self, other):
+    def __add__(self, other, c=None):
+        """self + other, or self + c * other for a raw value c."""
         self._check(other)
-        return GradedMap(self.basis, self.ring,
-                         {l: self.images[l] + other.images[l]
-                          for l in self.basis.labels})
+        basis, ring, one = self.basis, self.ring, self.ring._one
+        return GradedMap(basis, ring, {l: Element.lincomb(basis, ring, (
+            (one, self.images[l], None),
+            (one if c is None else c, other.images[l], None)))
+            for l in basis.labels})
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self.__add__(other, self.ring._neg(self.ring._one))
 
     def scale(self, c) -> "GradedMap":
         c = self.ring._value(c)
@@ -378,6 +390,49 @@ def _integer_scaling(ring: Ring, values):
         return None, lambda v: v, ring
     scale = math.lcm(1, *(v.denominator for v in values))
     return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
+
+
+def _packed_product(f: GradedMap, g: GradedMap, labels):
+    """The images of ``labels``, one degree's basis, under f o g as sums of
+    g(l)[m] * packed(f(m)), slot i of w bits the coefficient of labels[i]
+    as a signed digit (Kronecker substitution); w is whole bytes, w - 1 >=
+    bit_length(max|entry of f| * max column l1-norm of g), a digit bound.
+    ``Q`` packs integer rows (:func:`_integer_scaling`), ``Z/m`` residues
+    in [0, m).  None on other rings and when under a quarter of f's block
+    is nonzero, as label by label is cheaper then."""
+    ring, n = f.ring, len(labels)
+    fimg = [f.images[l].coeffs for l in labels]
+    if (not isinstance(ring, (IntegerRing, RationalRing, ModRing))
+            or 4 * sum(map(len, fimg)) < n * n):
+        return None
+    blocks = [fimg, [g.images[l].coeffs for l in labels]]
+    scale = 1
+    for b, block in enumerate(blocks):
+        s, raw, _ = _integer_scaling(ring, (v for c in block for v in c.values()))
+        if s not in (None, 1):
+            scale *= s
+            blocks[b] = [{l: raw(v) for l, v in c.items()} for c in block]
+    fimg, gimg = blocks
+    top = max((abs(v) for c in fimg for v in c.values()), default=0)
+    norm = max((sum(map(abs, c.values())) for c in gimg), default=0)
+    bits = (top * norm).bit_length() + 1
+    k = next((w for w in sorted(_WORDS) if 8 * w >= bits), -(-bits // 8))
+    half, order = 1 << (8 * k - 1), sys.byteorder
+    bias = int.from_bytes(half.to_bytes(k, order) * n, order)
+    slot = {l: 8 * k * i for i, l in enumerate(labels)}
+    packed = {m: sum(v << slot[l] for l, v in c.items())
+              for m, c in zip(labels, fimg)}
+    canon = ((lambda v: v % ring.m) if isinstance(ring, ModRing) else
+             (lambda v: _rational(Fraction(v, scale))) if scale > 1 else int)
+    out = {}
+    for l, c in zip(labels, gimg):
+        data = (sum(v * packed[m] for m, v in c.items()) + bias).to_bytes(
+            n * k, order)
+        words = (memoryview(data).cast(_WORDS[k]) if k in _WORDS else
+                 (int.from_bytes(data[i:i + k], order) for i in range(0, n * k, k)))
+        out[l] = Element._of(f.basis, ring, {
+            x: v for x, d in zip(labels, words) if (v := canon(d - half))})
+    return out
 
 
 def _row_steps(ring: Ring):

@@ -295,18 +295,23 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
 
     e_pows, f_pows, g_pows = _powers(e, K), _powers(f, K), _powers(g, K)
 
+    def after(a_pows, i, b_pows, j):
+        """a^i o b^j, composed only when neither exponent is 0."""
+        return (b_pows[j] if i == 0 else a_pows[i] if j == 0
+                else a_pows[i].compose(b_pows[j]))
+
     # g o e = e o g gives every g^i o e^j = e^j o g^i, and the pairs with
     # i = 0 or j = 0 hold trivially, so one comparison decides the check
     # and (1, 1) is its first failing pair
-    commute = K == 0 or g.compose(e) == e.compose(g)
+    ge, eg = g.compose(e), e.compose(g)
+    commute = K == 0 or ge == eg
     rep.add("power-commutation", "g^i o e^j = e^j o g^i",
             PASS if commute else FAIL, None if commute else witness_of((1, 1)))
 
     one, neg = I.ring._one, I.ring._neg
     # (g(x)f) o (e(x)g) - (e(x)g) o (g(x)f)
     lemma_ok = tensor_sum_vanishes(I.basis, I.ring, (
-        (one, g.compose(e), f.compose(g)),
-        (neg(one), e.compose(g), g.compose(f))))
+        (one, ge, f.compose(g)), (neg(one), eg, g.compose(f))))
     rep.add("tensor-commutation", "(g(x)f) o (e(x)g) = (e(x)g) o (g(x)f)",
             PASS if lemma_ok else FAIL,
             None if lemma_ok else "tensor factors do not commute")
@@ -327,8 +332,8 @@ def binomial_identity_check(I: PreCoalgebraInstance, K: int) -> Report:
                     h_pow[n] = (I.ring._add(h_pow[n][0], c), A)
         # minus the terms C(k,r) (e^(k-r) o g^r) (x) (f^r o g^(k-r))
         right = [(neg(I.ring._embed_int(binomial(k, r))),
-                  e_pows[k - r].compose(g_pows[r]),
-                  f_pows[r].compose(g_pows[k - r])) for r in range(k + 1)]
+                  after(e_pows, k - r, g_pows, r),
+                  after(f_pows, r, g_pows, k - r)) for r in range(k + 1)]
         if not tensor_sum_vanishes(I.basis, I.ring,
                                    [(c, A, A) for c, A in h_pow] + right):
             bad = witness_of(k)

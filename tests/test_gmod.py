@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                            Tensor2Map, kernel_vectors, tensor_sum_vanishes)
+                            Tensor2Map, _packed_product, kernel_vectors,
+                            tensor_sum_vanishes)
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
@@ -144,6 +145,81 @@ def test_negative_power_rejected():
 def test_composition_associative_and_linear(f, g, h, x):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
     assert f.compose(g + h)(x) == f(g(x)) + f(h(x))
+
+
+# a basis with an empty degree, for the packed block product of compose
+BP = GradedBasis([["1"], [], ["x", "y", "z"], ["p", "q", "r", "s"]])
+CELLS = [(l, m) for labels in BP.degrees for l in labels for m in labels]
+
+
+def block_map(ring, values):
+    """The map on BP whose entry (l, m), the coefficient of m in the image
+    of l, is the value at the position of (l, m) in CELLS."""
+    images = {l: {} for l in BP.labels}
+    for (l, m), v in zip(CELLS, values):
+        images[l][m] = v
+    return GradedMap(BP, ring, {l: Element(BP, ring, c)
+                                for l, c in images.items()})
+
+
+def applied(f, g):
+    """f o g label by label, {l: f(g(e_l))}: the reference for compose."""
+    return GradedMap(BP, f.ring, {l: f(g(Element.basis_vector(BP, f.ring, l)))
+                                  for l in BP.labels})
+
+
+def typed(f):
+    """The entries of f with their types, so a non-canonical value shows."""
+    return {l: {k: (type(v), v) for k, v in img.coeffs.items()}
+            for l, img in f.images.items()}
+
+
+def maps_over(entries):
+    """Values for block_map: each entry 0 or drawn from ``entries``, 0
+    often enough that both dense and sparse blocks come up."""
+    return st.lists(st.one_of(st.just(0), entries),
+                    min_size=len(CELLS), max_size=len(CELLS))
+
+
+@pytest.mark.parametrize("ring, entries", [
+    (ZZ, st.integers(-2**100, 2**100)),
+    (QQ, st.fractions(-50, 50, max_denominator=12)),
+    (ModRing(6), st.integers(0, 5)),
+    (ModRing(7), st.integers(-30, 30)),
+], ids=["Z", "Q", "Z/6", "Z/7"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_matches_per_label_application(ring, entries, data):
+    f = block_map(ring, data.draw(maps_over(entries)))
+    g = block_map(ring, data.draw(maps_over(entries)))
+    assert typed(f.compose(g)) == typed(applied(f, g))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
+def test_compose_with_a_zero_map(ring):
+    dense = block_map(ring, [1 + i % 4 for i in range(len(CELLS))])
+    zero = GradedMap.zero(BP, ring)
+    for f, g in ((dense, zero), (zero, dense), (zero, zero)):
+        assert typed(f.compose(g)) == typed(applied(f, g)) == typed(zero)
+
+
+@pytest.mark.parametrize("bound", [2**7 - 1, 2**15 - 1, 2**63 - 1, 2**64 - 1])
+def test_packed_digit_at_the_width_bound(bound):
+    """f(x) = f(y) = x - y and g(x) = -g(y) = a x + b y with a + b = bound:
+    every digit of f o g on degree 1 is +-bound = max|f| * max l1-norm of
+    g, which fills its slot exactly for bounds 2**(8k - 1) - 1."""
+    basis = GradedBasis([["1"], ["x", "y"]])
+    a, b = bound // 3, bound - bound // 3
+
+    def image(c):
+        return Element(basis, ZZ, c)
+    f = GradedMap(basis, ZZ, {"1": image({"1": 1}), "x": image({"x": 1, "y": -1}),
+                              "y": image({"x": 1, "y": -1})})
+    g = GradedMap(basis, ZZ, {"1": image({"1": 1}), "x": image({"x": a, "y": b}),
+                              "y": image({"x": -a, "y": -b})})
+    assert _packed_product(f, g, basis.degrees[1]) == {
+        "x": image({"x": bound, "y": -bound}),
+        "y": image({"x": -bound, "y": bound})}
 
 
 @given(f=rand_maps(ModRing(5)), a=st.integers(0, 3), b=st.integers(0, 3))
