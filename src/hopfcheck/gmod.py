@@ -10,14 +10,14 @@ acts on the tensor square through :meth:`GradedMap.apply_tensor`, without
 building the tensor-product map, and :func:`tensor_sum_vanishes` decides
 whether a sum of such pairs is the zero operator.
 
-All coefficient arithmetic on these dicts runs through one accumulator,
-:func:`_accumulate`, under :meth:`_Sparse.lincomb`, but for the dense
-blocks that :meth:`GradedMap.compose` packs (:func:`_packed_product`).
-Iterating one map on one degree, as the nilpotency chains do, runs on a
-:class:`DegreeBlock` instead: raw rows and one ``Ring._dot`` per touched
-row.  Exact linear algebra runs through one incremental elimination,
-:func:`_eliminate`, with row steps chosen once per ring: it finds the
-spanning sets of a block and the kernels of :func:`kernel_vectors`.
+Coefficient arithmetic on these dicts runs through one accumulator,
+:func:`_accumulate`, but on blocks a quarter nonzero (:func:`_dense`) over
+``Z``, ``Q`` and ``Z/m``: one Kronecker codec, :func:`_kronecker`, packs
+them into integers for :meth:`GradedMap.compose` and for each step of a
+nilpotency chain on a :class:`DegreeBlock`, whose other blocks step by one
+``Ring._dot`` per touched row.  Exact linear algebra runs through one
+elimination, :func:`_eliminate`, with row steps chosen once per ring: it
+finds the spanning sets of a block and the kernels of :func:`kernel_vectors`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
+from operator import mul
 
 from .errors import StructuralError, UnsupportedRingError
 from .rings import (ZZ, IntegerRing, ModRing, RationalRing, Ring,
@@ -392,18 +393,49 @@ def _integer_scaling(ring: Ring, values):
     return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
 
 
+def _dense(nonzeros: int, n: int) -> bool:
+    """Whether an n x n block with ``nonzeros`` nonzero entries is dense."""
+    return 4 * nonzeros >= n * n
+
+
+def _kronecker(n: int, top: int, norm: int, ring: Ring):
+    """The one Kronecker substitution codec (k, pack, unpack) on n slots of
+    k bytes, 8k - 1 >= bit_length(top * max(norm, 1)) (a machine word when
+    one is wide enough), for entries |v| <= ``top`` and combinations of
+    l1-norm <= ``norm``, so every digit is exact.  pack(values) is the sum
+    of v_i 2**(8ki), unpack(x) the n digits of a combination x of packed
+    ints, reduced mod m on ``Z/m``; both bias each slot by 2**(8k - 1)."""
+    bits = (top * max(norm, 1)).bit_length() + 1
+    k = next((w for w in sorted(_WORDS) if 8 * w >= bits), -(-bits // 8))
+    half, order = 1 << (8 * k - 1), sys.byteorder
+    bias = int.from_bytes(half.to_bytes(k, order) * n, order)
+    m = ring.m if isinstance(ring, ModRing) else None
+
+    def pack(values):
+        words = [v + half for v in values]
+        return int.from_bytes(struct.pack(f"{n}{_WORDS[k]}", *words) if k in _WORDS
+                              else b"".join(w.to_bytes(k, order) for w in words),
+                              order) - bias
+
+    def unpack(x):
+        data = (x + bias).to_bytes(n * k, order)
+        words = (memoryview(data).cast(_WORDS[k]) if k in _WORDS else
+                 (int.from_bytes(data[i:i + k], order) for i in range(0, n * k, k)))
+        return ([d - half for d in words] if m is None else
+                [(d - half) % m for d in words])
+    return k, pack, unpack
+
+
 def _packed_product(f: GradedMap, g: GradedMap, labels):
     """The images of ``labels``, one degree's basis, under f o g as sums of
-    g(l)[m] * packed(f(m)), slot i of w bits the coefficient of labels[i]
-    as a signed digit (Kronecker substitution); w is whole bytes, w - 1 >=
-    bit_length(max|entry of f| * max column l1-norm of g), a digit bound.
-    ``Q`` packs integer rows (:func:`_integer_scaling`), ``Z/m`` residues
-    in [0, m).  None on other rings and when under a quarter of f's block
-    is nonzero, as label by label is cheaper then."""
+    g(l)[m] * packed(f(m)) (:func:`_kronecker`), slot i the coefficient of
+    labels[i].  ``Q`` packs integer rows (:func:`_integer_scaling`), ``Z/m``
+    residues in [0, m).  None on other rings and on a block of f that is
+    not :func:`_dense`, as label by label is cheaper then."""
     ring, n = f.ring, len(labels)
     fimg = [f.images[l].coeffs for l in labels]
     if (not isinstance(ring, (IntegerRing, RationalRing, ModRing))
-            or 4 * sum(map(len, fimg)) < n * n):
+            or not _dense(sum(map(len, fimg)), n)):
         return None
     blocks = [fimg, [g.images[l].coeffs for l in labels]]
     scale = 1
@@ -415,23 +447,14 @@ def _packed_product(f: GradedMap, g: GradedMap, labels):
     fimg, gimg = blocks
     top = max((abs(v) for c in fimg for v in c.values()), default=0)
     norm = max((sum(map(abs, c.values())) for c in gimg), default=0)
-    bits = (top * norm).bit_length() + 1
-    k = next((w for w in sorted(_WORDS) if 8 * w >= bits), -(-bits // 8))
-    half, order = 1 << (8 * k - 1), sys.byteorder
-    bias = int.from_bytes(half.to_bytes(k, order) * n, order)
-    slot = {l: 8 * k * i for i, l in enumerate(labels)}
-    packed = {m: sum(v << slot[l] for l, v in c.items())
-              for m, c in zip(labels, fimg)}
-    canon = ((lambda v: v % ring.m) if isinstance(ring, ModRing) else
-             (lambda v: _rational(Fraction(v, scale))) if scale > 1 else int)
+    _, pack, unpack = _kronecker(n, top, norm, ring)
+    packed = {m: pack([c.get(l, 0) for l in labels]) for m, c in zip(labels, fimg)}
+    canon = (lambda v: _rational(Fraction(v, scale))) if scale > 1 else int
     out = {}
     for l, c in zip(labels, gimg):
-        data = (sum(v * packed[m] for m, v in c.items()) + bias).to_bytes(
-            n * k, order)
-        words = (memoryview(data).cast(_WORDS[k]) if k in _WORDS else
-                 (int.from_bytes(data[i:i + k], order) for i in range(0, n * k, k)))
+        digits = unpack(sum(v * packed[m] for m, v in c.items()))
         out[l] = Element._of(f.basis, ring, {
-            x: v for x, d in zip(labels, words) if (v := canon(d - half))})
+            x: canon(d) for x, d in zip(labels, digits) if d})
     return out
 
 
@@ -531,16 +554,16 @@ def _eliminate(vectors, steps, zero, width):
 
 
 class DegreeBlock:
-    """The restriction of a map to one degree, as raw rows for iterating it.
+    """The restriction of a map to one degree, as raw values for iterating it.
 
     Row i (the i-th label of the degree) holds the positions j and the raw
     values of the nonzero entries g[i][j], the coefficient of label i in
     the image of label j; ``masks[j]`` has bit i set when column j touches
-    row i, and ``nonzeros`` counts the entries.  Over ``Q`` every entry is
-    scaled to an integer by the lcm ``scale`` of their denominators, so
-    the rows hold ``int``s and a chain runs on integer vectors z_k with
-    g^k(x) = z_k / scale**k, boxed in canonical form (an ``int`` where
-    integral).
+    row i; a :func:`_dense` block over ``Z``, ``Q`` or ``Z/m`` caches its
+    packed columns per slot width in ``packed`` (else None).  Over ``Q``
+    every entry is scaled to an integer by the lcm ``scale`` of their
+    denominators, so the rows hold ``int``s and a chain runs on integer
+    vectors z_k with g^k(x) = z_k / scale**k, boxed in canonical form.
 
     Over ``Z`` and every field the block also finds, by the exact
     elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
@@ -548,8 +571,8 @@ class DegreeBlock:
     methods return None.
     """
 
-    __slots__ = ("map", "labels", "index", "rows", "masks", "nonzeros",
-                 "scale", "raw", "dot", "zero", "steps")
+    __slots__ = ("map", "labels", "index", "rows", "masks", "dense", "packed",
+                 "top", "scale", "raw", "dot", "zero", "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
@@ -572,7 +595,10 @@ class DegreeBlock:
                 masks[j] |= 1 << i
         self.rows = list(zip(cols, vals))
         self.masks = masks
-        self.nonzeros = sum(map(len, cols))
+        self.dense = _dense(sum(map(len, cols)), len(labels))
+        packs = self.dense and isinstance(rows, (IntegerRing, ModRing))
+        self.packed = {} if packs else None
+        self.top = max(map(abs, chain(*vals)), default=0) if packs else None
 
     def _column(self, j):
         """The image of label j as a raw vector and its support."""
@@ -585,11 +611,19 @@ class DegreeBlock:
         return y, support
 
     def _step(self, y, support):
-        """g applied to the raw vector y, nonzero exactly on ``support``.
-
-        Only the rows that the support touches are recomputed, one
-        ``_dot`` per row; returns the image and its support.
+        """g applied to the raw vector y, nonzero exactly on ``support``;
+        returns the image and its support.  On a ``packed`` block it is the
+        sum of y[j] times the packed column j (:func:`_kronecker`, digits
+        bounded by max|entry| * ||y||_1); on the others only the rows that
+        the support touches are recomputed, one ``_dot`` per row.
         """
+        if self.packed is not None:
+            ys, n = [y[j] for j in support], len(y)
+            k, pack, unpack = _kronecker(n, self.top, sum(map(abs, ys)), self.map.ring)
+            if k not in self.packed:
+                self.packed[k] = [pack(self._column(j)[0]) for j in range(n)]
+            y = unpack(sum(map(mul, ys, map(self.packed[k].__getitem__, support))))
+            return y, list(compress(range(n), y))
         rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
         touched = 0
         for j in support:

@@ -648,3 +648,108 @@ def test_witness_outside_the_spanning_columns(ring):
         (FAIL, f"'z' -> {one}*z")]
     # degree 1 is tested on its spans first, then walked label by label
     assert seen == [vec("x"), vec("y"), vec("z")] * 2
+
+
+# --- the packed step of a dense block ---------------------------------------
+
+# a basis with an empty degree
+PACK_BASIS = GradedBasis([["1"], [], ["x", "y", "z"], ["p", "q", "r", "s", "t"]])
+PACK_CELLS = [(l, m) for labels in PACK_BASIS.degrees
+              for l in labels for m in labels]
+
+
+def typed(x):
+    """The coefficients of x with their types, so a non-canonical value
+    shows."""
+    return {k: (type(v), v) for k, v in x.coeffs.items()}
+
+
+def row_reference(g, d):
+    """The block of degree d held to the mask/``_dot`` step."""
+    block = DegreeBlock(g, d)
+    block.packed = None
+    return block
+
+
+@pytest.mark.parametrize("ring, entries", [
+    (ZZ, st.integers(-2**100, 2**100)),
+    (QQ, st.fractions(-50, 50, max_denominator=12)),
+    (ModRing(6), st.integers(0, 5)),
+    (ModRing(7), st.integers(-30, 30)),
+], ids=["Z", "Q", "Z/6", "Z/7"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_step_matches_the_row_reference(ring, entries, data):
+    """On dense blocks the chains are the iterated map, and every level of
+    the spans is the one that the row step finds."""
+    values = data.draw(st.lists(entries, min_size=len(PACK_CELLS),
+                                max_size=len(PACK_CELLS)))
+    images = {l: {} for l in PACK_BASIS.labels}
+    for (l, m), v in zip(PACK_CELLS, values):
+        images[l][m] = v
+    g = GradedMap(PACK_BASIS, ring, {l: Element(PACK_BASIS, ring, c)
+                                     for l, c in images.items()})
+    for d, labels in enumerate(PACK_BASIS.degrees):
+        block, rows = DegreeBlock(g, d), row_reference(g, d)
+        assert (block.packed is not None) == block.dense
+        n = len(labels)
+        assert block._step([block.zero] * n, []) == ([block.zero] * n, [])
+        for label in labels:
+            walked = [typed(box()) for box in itertools.islice(block.chain(label), 6)]
+            expected = [Element.basis_vector(PACK_BASIS, ring, label)]
+            while len(expected) < 6 and not expected[-1].is_zero():
+                expected.append(g._apply(expected[-1]))
+            if expected[-1].is_zero():
+                expected.pop()
+            assert walked == [typed(y) for y in expected]
+        levels = block.spans()
+        if levels is None:
+            continue
+        assert [[typed(box()) for box in level]
+                for level in itertools.islice(levels, 5)] == [
+            [typed(box()) for box in level]
+            for level in itertools.islice(rows.spans(), 5)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
+def test_sparse_and_tuple_blocks_step_by_rows(ring):
+    """A block under a quarter nonzero, and any block over a tuple-valued
+    ring, keeps the row step; an empty degree has no spans."""
+    vec = lambda l, c: Element(PACK_BASIS, ring, {l: c})
+    zero = Element.zero(PACK_BASIS, ring)
+    images = {l: zero for l in PACK_BASIS.labels}
+    images.update(p=vec("q", 3), q=vec("r", 3), r=vec("p", 2))
+    g = GradedMap(PACK_BASIS, ring, images)
+    block = DegreeBlock(g, 3)
+    assert not block.dense and block.packed is None
+    y = Element.basis_vector(PACK_BASIS, ring, "p")
+    for box in itertools.islice(block.chain("p"), 5):
+        assert typed(box()) == typed(y)
+        y = g._apply(y)
+    dense = GradedMap(PACK_BASIS, ZQ3, {
+        l: Element(PACK_BASIS, ZQ3, {m: ZQ3.element([1, 1]) for m in labels})
+        for labels in PACK_BASIS.degrees for l in labels})
+    tuple_block = DegreeBlock(dense, 3)
+    assert tuple_block.dense and tuple_block.packed is None
+    levels = DegreeBlock(g, 1).spans()
+    if ring in PER_LABEL_RINGS:
+        assert levels is None
+    else:
+        assert list(levels) == []
+
+
+@pytest.mark.parametrize("bound", [2**7 - 1, 2**8 - 1, 2**15 - 1, 2**16 - 1,
+                                   2**63 - 1, 2**64 - 1, 2**71 - 1, 2**72 - 1])
+def test_packed_step_digit_at_the_width_bound(bound):
+    """g(x) = -g(y) = x - y and the vector a x - b y with a + b = bound:
+    both digits of its image are +-bound = max|entry| * ||y||_1, which
+    fills its slot exactly for bounds 2**(8k - 1) - 1 and needs a wider
+    slot for bounds 2**(8k) - 1."""
+    basis = GradedBasis([["1"], ["x", "y"]])
+    image = lambda c: Element(basis, ZZ, c)
+    g = GradedMap(basis, ZZ, {"1": image({}), "x": image({"x": 1, "y": -1}),
+                              "y": image({"x": -1, "y": 1})})
+    block = DegreeBlock(g, 1)
+    assert block.packed is not None
+    a = bound // 3
+    assert block._step([a, a - bound], [0, 1]) == ([bound, -bound], [0, 1])
