@@ -421,8 +421,7 @@ def _kronecker(n: int, top: int, norm: int, ring: Ring):
         data = (x + bias).to_bytes(n * k, order)
         words = (memoryview(data).cast(_WORDS[k]) if k in _WORDS else
                  (int.from_bytes(data[i:i + k], order) for i in range(0, n * k, k)))
-        return ([d - half for d in words] if m is None else
-                [(d - half) % m for d in words])
+        return [(d - half) % m for d in words] if m else [d - half for d in words]
     return k, pack, unpack
 
 
@@ -560,10 +559,11 @@ class DegreeBlock:
     values of the nonzero entries g[i][j], the coefficient of label i in
     the image of label j; ``masks[j]`` has bit i set when column j touches
     row i; a :func:`_dense` block over ``Z``, ``Q`` or ``Z/m`` caches its
-    packed columns per slot width in ``packed`` (else None).  Over ``Q``
-    every entry is scaled to an integer by the lcm ``scale`` of their
-    denominators, so the rows hold ``int``s and a chain runs on integer
-    vectors z_k with g^k(x) = z_k / scale**k, boxed in canonical form.
+    columns packed at the widest slot a step has needed in ``packed``, as
+    (bytes, unpack, columns) (else None).  Over ``Q`` every entry is scaled
+    to an integer by the lcm ``scale`` of their denominators, so the rows
+    hold ``int``s and a chain runs on integer vectors z_k with
+    g^k(x) = z_k / scale**k, boxed in canonical form.
 
     Over ``Z`` and every field the block also finds, by the exact
     elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
@@ -597,7 +597,7 @@ class DegreeBlock:
         self.masks = masks
         self.dense = _dense(sum(map(len, cols)), len(labels))
         packs = self.dense and isinstance(rows, (IntegerRing, ModRing))
-        self.packed = {} if packs else None
+        self.packed = (0, None, None) if packs else None
         self.top = max(map(abs, chain(*vals)), default=0) if packs else None
 
     def _column(self, j):
@@ -620,9 +620,10 @@ class DegreeBlock:
         if self.packed is not None:
             ys, n = [y[j] for j in support], len(y)
             k, pack, unpack = _kronecker(n, self.top, sum(map(abs, ys)), self.map.ring)
-            if k not in self.packed:
-                self.packed[k] = [pack(self._column(j)[0]) for j in range(n)]
-            y = unpack(sum(map(mul, ys, map(self.packed[k].__getitem__, support))))
+            if k > self.packed[0]:  # a wider slot is exact too: keep one
+                self.packed = k, unpack, [pack(self._column(j)[0]) for j in range(n)]
+            _, unpack, columns = self.packed
+            y = unpack(sum(map(mul, ys, map(columns.__getitem__, support))))
             return y, list(compress(range(n), y))
         rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
         touched = 0

@@ -369,9 +369,8 @@ def _antipode_chain_map(H: HopfPresentation):
 def _not_killed_by_id_plus_S(H: HopfPresentation):
     """A chain check's failure for "(id + S)(y) = 0", tested as the lincomb
     y + S(y), so the map id + S is never built."""
-    one = H.ring._one
     return lambda y: _nonzero(Element.lincomb(H.basis, H.ring, (
-        (one, y, None), (one, H.antipode()(y), None))))
+        (H.ring._one, y, None), (H.ring._one, H.antipode()(y), None))))
 
 
 def suite_corollary_filtered(H: HopfPresentation, e: GradedMap, f: GradedMap,

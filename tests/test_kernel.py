@@ -738,6 +738,17 @@ def test_sparse_and_tuple_blocks_step_by_rows(ring):
         assert list(levels) == []
 
 
+def difference_block():
+    """The packed degree-1 block of g(x) = -g(y) = x - y over ``Z``."""
+    basis = GradedBasis([["1"], ["x", "y"]])
+    image = lambda c: Element(basis, ZZ, c)
+    g = GradedMap(basis, ZZ, {"1": image({}), "x": image({"x": 1, "y": -1}),
+                              "y": image({"x": -1, "y": 1})})
+    block = DegreeBlock(g, 1)
+    assert block.packed is not None
+    return block
+
+
 @pytest.mark.parametrize("bound", [2**7 - 1, 2**8 - 1, 2**15 - 1, 2**16 - 1,
                                    2**63 - 1, 2**64 - 1, 2**71 - 1, 2**72 - 1])
 def test_packed_step_digit_at_the_width_bound(bound):
@@ -745,11 +756,21 @@ def test_packed_step_digit_at_the_width_bound(bound):
     both digits of its image are +-bound = max|entry| * ||y||_1, which
     fills its slot exactly for bounds 2**(8k - 1) - 1 and needs a wider
     slot for bounds 2**(8k) - 1."""
-    basis = GradedBasis([["1"], ["x", "y"]])
-    image = lambda c: Element(basis, ZZ, c)
-    g = GradedMap(basis, ZZ, {"1": image({}), "x": image({"x": 1, "y": -1}),
-                              "y": image({"x": -1, "y": 1})})
-    block = DegreeBlock(g, 1)
-    assert block.packed is not None
     a = bound // 3
-    assert block._step([a, a - bound], [0, 1]) == ([bound, -bound], [0, 1])
+    assert difference_block()._step([a, a - bound], [0, 1]) == (
+        [bound, -bound], [0, 1])
+
+
+def test_packed_step_keeps_one_packing_at_the_widest_slot():
+    """A step that needs a wider slot repacks the columns; a later step
+    that fits a narrower one decodes them at the wider slot, exactly."""
+    block = difference_block()
+    assert block._step([3, -1], [0, 1]) == ([4, -4], [0, 1])
+    assert block.packed[0] == 1
+    big = 2**100
+    assert block._step([big, -big], [0, 1]) == ([2 * big, -2 * big], [0, 1])
+    wide, _, columns = block.packed
+    assert wide > 8 and len(columns) == 2
+    assert block._step([3, -1], [0, 1]) == ([4, -4], [0, 1])
+    assert block._step([5, 5], [0, 1]) == ([0, 0], [])
+    assert block.packed[0] == wide and block.packed[2] is columns
