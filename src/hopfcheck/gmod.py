@@ -11,13 +11,15 @@ building the tensor-product map, and :func:`tensor_sum_vanishes` decides
 whether a sum of such pairs is the zero operator.
 
 Coefficient arithmetic on these dicts runs through one accumulator,
-:func:`_accumulate`, but on blocks a quarter nonzero (:func:`_dense`) over
-``Z``, ``Q`` and ``Z/m``: one Kronecker codec, :func:`_kronecker`, packs
-them into integers for :meth:`GradedMap.compose` and for each step of a
-nilpotency chain on a :class:`DegreeBlock`, whose other blocks step by one
-``Ring._dot`` per touched row.  Exact linear algebra runs through one
-elimination, :func:`_eliminate`, with row steps chosen once per ring: it
-finds the spanning sets of a block and the kernels of :func:`kernel_vectors`.
+:func:`_accumulate`, but in the structure-constant loops of ``hopf.py``,
+which sum table rows into one raw-value dict, and on blocks a quarter
+nonzero (:func:`_dense`) over ``Z``, ``Q`` and ``Z/m``: one Kronecker
+codec, :func:`_kronecker`, packs them into integers for
+:meth:`GradedMap.compose` and for each step of a nilpotency chain on a
+:class:`DegreeBlock`, whose other blocks step by one ``Ring._dot`` per
+touched row.  Exact linear algebra runs through one elimination,
+:func:`_eliminate`, with row steps chosen once per ring: it finds the
+spanning sets of a block and the kernels of :func:`kernel_vectors`.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def _accumulate(ring: Ring, terms) -> dict:
     pairs (key of x, key of y).  The rings of x and y are checked per
     term, and a boxed c is ring-checked and unboxed; a caller taking a raw
     c from an element checks that element's ring.  This is the one
-    accumulation routine, under :meth:`_Sparse.lincomb`, the
-    coassociativity sums and :func:`tensor_sum_vanishes`."""
+    accumulation routine, under :meth:`_Sparse.lincomb` and
+    :func:`tensor_sum_vanishes`."""
     mul, add, one = ring._mul, ring._add, ring._one
     acc = {}
     for c, x, y in terms:
@@ -127,8 +129,13 @@ def _accumulate(ring: Ring, terms) -> dict:
             for k2, w in y.coeffs.items():
                 key, t = (k, k2), mul(v, w)
                 acc[key] = add(acc[key], t) if key in acc else t
-    zero = ring._zero
-    return {k: v for k, v in acc.items() if v != zero}
+    return _nonzero(ring, acc)
+
+
+def _nonzero(ring: Ring, acc: dict) -> dict:
+    """The nonzero entries of a raw-value dict; the dict itself if it has no zero."""
+    z = ring._zero
+    return {k: v for k, v in acc.items() if v != z} if z in acc.values() else acc
 
 
 class _Sparse:

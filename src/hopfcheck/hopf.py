@@ -7,7 +7,8 @@ results are cached and validated (grading and ring) on first use.  Every
 check reads the structure constants through ``product_of_labels`` and
 ``coproduct_of_label`` and compares elements, whose coefficients are raw
 ring values; a failing check's witness is built from the values it
-compared.
+compared.  Products, coproducts, the antipode recursions and the axiom
+checks sum the table rows straight into one raw-value dict.
 
 The antipode of a connected presentation is built by the degree recursion
 coming from the left antipode axiom, with an independent second recursion
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from .errors import StructuralError, TruncationError, UnsupportedRingError
 from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                   _accumulate, _check_ring)
+                   _check_ring, _nonzero)
 from .report import FAIL, PASS, Report, witness_of
 from .rings import Ring
 
@@ -109,18 +110,29 @@ class HopfPresentation:
         return self.ring.element(self._counit0.get(label, self.ring._zero))
 
     def product(self, x: Element, y: Element) -> Element:
-        _check_ring(self.ring, x, y)
-        pl, mul = self.product_of_labels, self.ring._mul
-        return Element.lincomb(self.basis, self.ring,
-                               ((mul(c1, c2), pl(l1, l2), None)
-                                for l1, c1 in x.coeffs.items()
-                                for l2, c2 in y.coeffs.items()))
+        ring, acc = self.ring, {}
+        _check_ring(ring, x, y)
+        pl, mul, add, one = self.product_of_labels, ring._mul, ring._add, ring._one
+        for l1, c1 in x.coeffs.items():
+            for l2, c2 in y.coeffs.items():
+                c = c2 if c1 is one else mul(c1, c2)
+                for k, v in pl(l1, l2).coeffs.items():
+                    v = v if c is one else mul(c, v)
+                    acc[k] = add(acc[k], v) if k in acc else v
+        return Element._of(self.basis, ring, _nonzero(ring, acc))
 
     def coproduct(self, x: Element) -> Tensor2Element:
-        _check_ring(self.ring, x)
-        return Tensor2Element.lincomb(
-            self.basis, self.ring,
-            ((c, self.coproduct_of_label(l), None) for l, c in x.coeffs.items()))
+        """The coproduct of x; of one label with coefficient one, its table entry."""
+        ring, cop, acc = self.ring, self.coproduct_of_label, {}
+        _check_ring(ring, x)
+        if len(x.coeffs) == 1 and ring._one in x.coeffs.values():
+            return cop(next(iter(x.coeffs)))
+        mul, add, one = ring._mul, ring._add, ring._one
+        for l, c in x.coeffs.items():
+            for k, v in cop(l).coeffs.items():
+                v = v if c is one else mul(c, v)
+                acc[k] = add(acc[k], v) if k in acc else v
+        return Tensor2Element._of(self.basis, ring, _nonzero(ring, acc))
 
     def counit_value(self, x: Element):
         """The counit of x as a raw value of the ring."""
@@ -138,12 +150,19 @@ class HopfPresentation:
 
     def t2_product(self, s: Tensor2Element, t: Tensor2Element) -> Tensor2Element:
         """Componentwise product in the tensor square."""
-        _check_ring(self.ring, s, t)
-        pl, mul = self.product_of_labels, self.ring._mul
-        return Tensor2Element.lincomb(self.basis, self.ring,
-                                      ((mul(c1, c2), pl(a, a2), pl(b, b2))
-                                       for (a, b), c1 in s.coeffs.items()
-                                       for (a2, b2), c2 in t.coeffs.items()))
+        ring, acc = self.ring, {}
+        _check_ring(ring, s, t)
+        pl, mul, add, one = self.product_of_labels, ring._mul, ring._add, ring._one
+        for (a, b), c1 in s.coeffs.items():
+            for (a2, b2), c2 in t.coeffs.items():
+                row, row2 = pl(a, a2).coeffs.items(), pl(b, b2).coeffs.items()
+                c = c2 if c1 is one else mul(c1, c2)
+                for k, v in row:
+                    v = v if c is one else mul(c, v)
+                    for k2, w in row2:
+                        key, w = (k, k2), v if w is one else mul(v, w)
+                        acc[key] = add(acc[key], w) if key in acc else w
+        return Tensor2Element._of(self.basis, ring, _nonzero(ring, acc))
 
     # connectedness -------------------------------------------------------
     def is_connected(self) -> bool:
@@ -183,21 +202,22 @@ class HopfPresentation:
         # S(x) = -sum c S(x1) x2 over the terms with deg x1 < deg x (left),
         # or -sum c x1 S(x2) over those with deg x2 < deg x (right), each
         # product S(x1) x2 expanded into structure constants
-        images = {self.unit_label: self.unit()}
-        pl, deg = self.product_of_labels, self.degree_of
-        mul, neg = self.ring._mul, self.ring._neg
+        ring, images = self.ring, {self.unit_label: self.unit()}
+        pl, cop, deg = self.product_of_labels, self.coproduct_of_label, self.degree_of
+        mul, add, neg, one = ring._mul, ring._add, ring._neg, ring._one
         for d in range(1, self.max_degree + 1):
             for label in self.basis.labels_of_degree(d):
-                terms = []
-                for (l1, l2), c in self.coproduct_of_label(label).coeffs.items():
-                    if right and deg(l2) < d:
-                        terms += ((neg(mul(c, v)), pl(l1, m), None)
-                                  for m, v in images[l2].coeffs.items())
-                    elif not right and deg(l1) < d:
-                        terms += ((neg(mul(c, v)), pl(m, l2), None)
-                                  for m, v in images[l1].coeffs.items())
-                images[label] = Element.lincomb(self.basis, self.ring, terms)
-        return GradedMap(self.basis, self.ring, images)
+                acc = {}
+                for (l1, l2), c in cop(label).coeffs.items():
+                    if deg(l2 if right else l1) >= d:
+                        continue
+                    for m, v in images[l2 if right else l1].coeffs.items():
+                        v = neg(c if v is one else mul(c, v))
+                        for k, w in (pl(l1, m) if right else pl(m, l2)).coeffs.items():
+                            w = w if v is one else mul(v, w)
+                            acc[k] = add(acc[k], w) if k in acc else w
+                images[label] = Element._of(self.basis, ring, _nonzero(ring, acc))
+        return GradedMap(self.basis, ring, images)
 
     def antipode(self) -> GradedMap:
         """Antipode from the left axiom recursion (cached)."""
@@ -229,30 +249,29 @@ class HopfPresentation:
         """(coproduct(x)id) o coproduct = (id(x)coproduct) o coproduct on a label.
 
         Over the terms c a(x)b of coproduct(x), the sides are the sums of
-        (sum_a c coproduct(a))(x)b over b and of a(x)(sum_b c coproduct(b))
-        over a, compared as triple tensors (a1, a2, b) and (a, b1, b2)."""
+        c coproduct(a)(x)b and of c a(x)coproduct(b), compared as triple
+        tensors (a1, a2, b) and (a, b1, b2), both built in one pass."""
         ring, cop = self.ring, self.coproduct_of_label
+        mul, add, one = ring._mul, ring._add, ring._one
         left, right = {}, {}
         for (a, b), c in cop(label).coeffs.items():
-            left.setdefault(b, []).append((c, cop(a), None))
-            right.setdefault(a, []).append((c, cop(b), None))
-        left = {(a1, a2, b): v for b, terms in left.items()
-                for (a1, a2), v in _accumulate(ring, terms).items()}
-        right = {(a, b1, b2): v for a, terms in right.items()
-                 for (b1, b2), v in _accumulate(ring, terms).items()}
-        return left == right
+            for (a1, a2), v in cop(a).coeffs.items():
+                key, v = (a1, a2, b), v if c is one else mul(c, v)
+                left[key] = add(left[key], v) if key in left else v
+            for (b1, b2), v in cop(b).coeffs.items():
+                key, v = (a, b1, b2), v if c is one else mul(c, v)
+                right[key] = add(right[key], v) if key in right else v
+        return _nonzero(ring, left) == _nonzero(ring, right)
 
     def counit_holds_on(self, label: str, left: bool) -> bool:
         """(id(x)counit) o coproduct = id on a label, or with ``left`` false
         its mirror (counit(x)id) o coproduct = id."""
-        ring, eps = self.ring, self._counit0
-        terms = self.coproduct_of_label(label).coeffs.items()
-        if not left:
-            terms = [((b, a), c) for (a, b), c in terms]
-        acc = Element.lincomb(self.basis, ring,
-                              ((ring._mul(c, eps[b]), self.element(a), None)
-                               for (a, b), c in terms if b in eps))
-        return acc == self.element(label)
+        ring, eps, acc = self.ring, self._counit0, {}
+        for key, c in self.coproduct_of_label(label).coeffs.items():
+            a, b = key if left else key[::-1]
+            if b in eps:
+                acc[a] = ring._add(acc.get(a, ring._zero), ring._mul(c, eps[b]))
+        return _nonzero(ring, acc) == {label: ring._one}
 
     def verify_bialgebra(self) -> Report:
         """Check the bialgebra axioms on basis labels and label pairs.
@@ -316,16 +335,20 @@ class HopfPresentation:
         if S is None:
             S = self.antipode()
         rep = Report(f"antipode-axioms({self.name})")
-        labels = self.basis.labels
-        ident, pl = GradedMap.identity(self.basis, self.ring), self.product_of_labels
+        labels, ring = self.basis.labels, self.ring
+        ident, pl = GradedMap.identity(self.basis, ring), self.product_of_labels
+        mul, add, one = ring._mul, ring._add, ring._one
 
         def convolution_ok(f, g):
             """m o (f(x)g) o coproduct = unit o counit on a label."""
             def check(label):
-                t = f.apply_tensor(g, self.coproduct_of_label(label))
-                acc = Element.lincomb(self.basis, self.ring, (
-                    (c, pl(a, b), None) for (a, b), c in t.coeffs.items()))
-                return acc == self.unit().scale(self.counit_of_label(label))
+                t, acc = f.apply_tensor(g, self.coproduct_of_label(label)), {}
+                for (a, b), c in t.coeffs.items():
+                    for k, v in pl(a, b).coeffs.items():
+                        v = v if c is one else mul(c, v)
+                        acc[k] = add(acc[k], v) if k in acc else v
+                return (_nonzero(ring, acc) ==
+                        self.unit().scale(self.counit_of_label(label)).coeffs)
             return check
 
         rep.per_label("left-axiom",

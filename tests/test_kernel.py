@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
                             Tensor2Element, Tensor2Map, kernel_vectors)
+from hopfcheck.hopf import HopfPresentation
 from hopfcheck.reduced import reduced_coproduct_label
 from hopfcheck.report import FAIL, PASS, Report, witness_of
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
-from hopfcheck.specfile import parse_presentation
+from hopfcheck.specfile import export_presentation, parse_presentation
 from hopfcheck.verify import (PreCoalgebraInstance, chain_checks,
                               check_hypotheses)
-from hopfcheck.zoo import shuffle_algebra, tensor_algebra
+from hopfcheck.zoo import free_example_abc, shuffle_algebra, tensor_algebra
 
 ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 # a quotient declared a field, and one that is not declared a field
@@ -112,6 +113,40 @@ def naive_t2_product(H, s, t):
                               for kb, vb in boxed(H.product_of_labels(b, b2)).items()))
 
 
+def naive_coproduct(H, x):
+    return naive_sum(H.ring, ((k, c * v) for l, c in boxed(x).items()
+                              for k, v in boxed(H.coproduct_of_label(l)).items()))
+
+
+def naive_coassociative(H, label):
+    """Whether the triple tensors sum_{a(x)b} c coproduct(a)(x)b and
+    sum_{a(x)b} c a(x)coproduct(b) over coproduct(label) agree."""
+    cop = lambda l: boxed(H.coproduct_of_label(l))
+    terms = cop(label).items()
+    left = naive_sum(H.ring, (((a1, a2, b), c * v) for (a, b), c in terms
+                              for (a1, a2), v in cop(a).items()))
+    right = naive_sum(H.ring, (((a, b1, b2), c * v) for (a, b), c in terms
+                               for (b1, b2), v in cop(b).items()))
+    return left == right
+
+
+def naive_antipode(H, right):
+    """The images of the left (right) antipode recursion, label by label in
+    basis order: S(x) = -sum c S(x1) x2 over deg x1 < deg x, or
+    -sum c x1 S(x2) over deg x2 < deg x."""
+    deg, pl = H.degree_of, H.product_of_labels
+    S = {H.unit_label: {H.unit_label: H.ring.one}}
+    for label in H.basis.labels_between(1, H.max_degree):
+        terms = []
+        for (l1, l2), c in boxed(H.coproduct_of_label(label)).items():
+            if deg(l2 if right else l1) < deg(label):
+                for m, v in S[l2 if right else l1].items():
+                    row = pl(l1, m) if right else pl(m, l2)
+                    terms += ((k, -(c * v * w)) for k, w in boxed(row).items())
+        S[label] = naive_sum(H.ring, terms)
+    return S
+
+
 def naive_kernel_vectors(columns, keys, ring):
     """Dense Gauss-Jordan elimination on RingElements."""
     if not ring.is_field:
@@ -196,9 +231,25 @@ def test_hopf_product_and_t2_product(ring, data):
     s = Tensor2Element(H.basis, ring, data.draw(sparse(ring, pairs)))
     t = Tensor2Element(H.basis, ring, data.draw(sparse(ring, pairs)))
     assert boxed(H.t2_product(s, t)) == naive_t2_product(H, s, t)
+    # coassociativity, coproducts and both antipode recursions, on shuffle
+    # (whose product rows are not monomials) and abc, each with one drawn
+    # product entry and one drawn coproduct entry changed
+    for base in (_shuffle(ring), _abc(ring)):
+        P = perturbed(base, data)
+        labels = list(P.basis.labels)
+        for label in labels:
+            assert P.coassociative_on(label) == naive_coassociative(P, label)
+        label = data.draw(st.sampled_from(labels))
+        assert P.coproduct(P.element(label)) is P.coproduct_of_label(label)
+        c = data.draw(scalars(ring))
+        for x in (Element(P.basis, ring, {label: c}),
+                  Element(P.basis, ring, data.draw(sparse(ring, labels)))):
+            assert boxed(P.coproduct(x)) == naive_coproduct(P, x)
+        for right, S in ((False, P.antipode()), (True, P.antipode_oracle())):
+            assert {l: boxed(S.images[l]) for l in labels} == naive_antipode(P, right)
 
 
-_SHUFFLES = {}
+_SHUFFLES, _ABCS = {}, {}
 
 
 def _shuffle(ring):
@@ -207,6 +258,79 @@ def _shuffle(ring):
     if ring not in _SHUFFLES:
         _SHUFFLES[ring] = shuffle_algebra(2, ring, 2)
     return _SHUFFLES[ring]
+
+
+def _abc(ring):
+    if ring not in _ABCS:
+        _ABCS[ring] = free_example_abc(ring, 3)
+    return _ABCS[ring]
+
+
+def perturbed(H, data):
+    """H with one drawn product entry and one drawn coproduct entry plus a
+    drawn multiple of a label (a pair of labels) of the entry's degree.  The
+    result need not be a bialgebra, so its checks can fail."""
+    basis, ring, deg = H.basis, H.ring, H.degree_of
+    l1, l2 = data.draw(st.sampled_from([
+        (a, b) for a in basis.labels for b in basis.labels
+        if deg(a) + deg(b) <= basis.max_degree]))
+    term = data.draw(st.sampled_from(basis.labels_of_degree(deg(l1) + deg(l2))))
+    label = data.draw(st.sampled_from(basis.labels))
+    pair = data.draw(st.sampled_from([
+        (a, b) for a in basis.labels for b in basis.labels
+        if deg(a) + deg(b) == deg(label)]))
+    c, e = data.draw(scalars(ring)), data.draw(scalars(ring))
+
+    def product_rule(a, b):
+        x = H.product_of_labels(a, b)
+        return x + Element(basis, ring, {term: c}) if (a, b) == (l1, l2) else x
+
+    def coproduct_rule(l):
+        t = H.coproduct_of_label(l)
+        return t + Tensor2Element(basis, ring, {pair: e}) if l == label else t
+
+    return HopfPresentation(H.name, basis, ring, product_rule, coproduct_rule,
+                            {H.unit_label: ring.one}, H.unit_label)
+
+
+# abc over Z/5 at N=5 with one wrong coefficient: in the product of a
+# degree-5 pair, or in the coproduct of a degree-4 label
+LATE_PLANTS = {"product": ("product cc b =", "= 1 ccb", "= 2 ccb"),
+               "coproduct": ("coproduct cc =", "+ 2 c c", "+ 3 c c")}
+
+
+@pytest.mark.parametrize("plant", LATE_PLANTS)
+def test_bialgebra_first_failures_match_the_boxed_sides(plant):
+    """The suite's first failing label and pair, in its order, and their
+    witnesses, are those the boxed references give."""
+    prefix, old, new = LATE_PLANTS[plant]
+    lines = export_presentation(free_example_abc(ModRing(5), 5)).splitlines(True)
+    hit, = [i for i, line in enumerate(lines)
+            if line.startswith(prefix + " ") and old in line]
+    lines[hit] = lines[hit].replace(old, new, 1)
+    H = parse_presentation("".join(lines))
+    checks = {c.claim: c for c in H.verify_bialgebra().checks}
+
+    def multiplicative_failure(pair):
+        lhs = naive_coproduct(H, H.product_of_labels(*pair))
+        rhs = naive_t2_product(H, *map(H.coproduct_of_label, pair))
+        diff = naive_sum(H.ring, itertools.chain(
+            lhs.items(), ((k, -v) for k, v in rhs.items())))
+        return diff and witness_of(pair, Tensor2Element(H.basis, H.ring, diff))
+
+    n = H.max_degree
+    pairs = [(x, y) for d in range(n + 1) for x in H.basis.labels_of_degree(d)
+             for y in H.basis.labels_up_to(n - d)]
+    expected = {
+        "coassociativity": next((witness_of(l) for l in H.basis.labels
+                                 if not naive_coassociative(H, l)), None),
+        "coproduct-multiplicative":
+            next(filter(None, map(multiplicative_failure, pairs)), None)}
+    assert expected["coproduct-multiplicative"] is not None
+    assert (expected["coassociativity"] is None) == (plant == "product")
+    for claim, witness in expected.items():
+        assert (checks[claim].status, checks[claim].witness) == (
+            (PASS, None) if witness is None else (FAIL, witness))
 
 
 def as_items(vectors):
