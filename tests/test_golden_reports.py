@@ -42,6 +42,17 @@ Q[q]/(1,0,1): ``graded-hopf``, ``lowered-exponent --p 2`` and ``filtered
 ``FQSYM_FIELD_PERTURBATION``, recorded while those chains were still
 walked label by label, before they were decided on spans.
 
+``golden_reports_qring.json`` pins the quotient rings: ``abc`` over
+Z[q]/(1,1,1) at maxdeg 4 for every suite but ``taft-remark`` (p = 1 and
+2 for the p suites), ``fqsym`` over Z[q]/(1,1,1) at maxdeg 4 for
+``graded-hopf``, ``lowered-exponent --p 2``, ``filtered --p 2`` and
+``binomial-identity``, and ``tensor`` of rank 3 at maxdeg 3 over
+Q[q]/(1,0,1) for ``reduced`` and ``theorem1``, whose reports carry
+``Fraction`` entries.  These digests were recorded while every
+quotient-ring product still made one base-ring call per coefficient
+product and reduced mod f term by term, before the quotient rings ran
+on native polynomial kernels and the Kronecker codec.
+
 In ``golden_reports.json`` the ``taft-remark`` reports on the connected
 zoo algebras are exit 1 with no report: the suite reads its input, and
 none of them presents a Taft algebra.
@@ -63,6 +74,7 @@ GOLDEN = json.loads((HERE / "golden_reports.json").read_text())
 GOLDEN_WIDE = json.loads((HERE / "golden_reports_wide.json").read_text())
 GOLDEN_DENSE = json.loads((HERE / "golden_reports_dense.json").read_text())
 GOLDEN_FIELDS = json.loads((HERE / "golden_reports_fields.json").read_text())
+GOLDEN_QRING = json.loads((HERE / "golden_reports_qring.json").read_text())
 P_SUITES = ("filtered", "lowered-exponent", "theorem1")
 PERTURBED_SUITES = sorted(set(SUITES) - {"taft-remark"})
 
@@ -84,6 +96,7 @@ FQSYM_FIELD_PERTURBATION = ("coproduct 132 =", "+ (1,0) 12 1",
                             "+ (2,0) 12 1", "132")
 DENSE_SUITES = (("graded-hopf", "1"), ("lowered-exponent", "2"),
                 ("filtered", "2"))
+QRING = "Z[q]/(1,1,1)"
 
 
 def verify_structured(*argv):
@@ -237,3 +250,26 @@ def test_field_kernel_reports_match_golden_digests(tmp_path):
               for suite in json.loads(texts["counit-a|Q|reduced|1"])["suites"]
               for check in suite["checks"]}
     assert status["factorization"] == status["degree-bound"] == "fail"
+
+
+def qring_reports():
+    """The quotient-ring golden digests, keyed as in their file."""
+    seen = {}
+    for suite in PERTURBED_SUITES:
+        for p in ("1", "2") if suite in P_SUITES else ("1",):
+            seen[f"abc4|{QRING}|{suite}|{p}"] = structured(
+                "--algebra", "abc", "--ring", QRING, "--maxdeg", "4",
+                "--suite", suite, "--p", p)
+    for suite, p in DENSE_SUITES + (("binomial-identity", "1"),):
+        seen[f"fqsym4|{QRING}|{suite}|{p}"] = structured(
+            "--algebra", "fqsym", "--ring", QRING, "--maxdeg", "4",
+            "--suite", suite, "--p", p)
+    for suite in ("reduced", "theorem1"):
+        seen[f"tensor3|{QFIELD}|{suite}|1"] = structured(
+            "--algebra", "tensor", "--rank", "3", "--ring", QFIELD,
+            "--maxdeg", "3", "--suite", suite)
+    return seen
+
+
+def test_quotient_ring_reports_match_golden_digests():
+    assert qring_reports() == GOLDEN_QRING
