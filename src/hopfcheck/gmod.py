@@ -13,8 +13,8 @@ whether a sum of such pairs is the zero operator.
 Coefficient arithmetic on these dicts runs through one accumulator,
 :func:`_accumulate`, but in the structure-constant loops of ``hopf.py``,
 which sum table rows into one raw-value dict, and on blocks a quarter
-nonzero (:func:`_dense`) over ``Z``, ``Q`` and ``Z/m``: one Kronecker
-codec, :func:`_kronecker`, packs them into integers for
+nonzero (:func:`_dense`): one Kronecker codec, :func:`_kronecker`, packs
+them into integers (the tuples of ``R[q]/(f)`` on two levels) for
 :meth:`GradedMap.compose` and for each step of a nilpotency chain on a
 :class:`DegreeBlock`, whose other blocks step by one ``Ring._dot`` per
 touched row.  Exact linear algebra runs through one elimination,
@@ -29,11 +29,11 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import chain, compress
-from operator import mul
+from operator import lshift, mul
 
 from .errors import StructuralError, UnsupportedRingError
-from .rings import (ZZ, IntegerRing, ModRing, RationalRing, Ring,
-                    RingElement, _rational)
+from .rings import (ZZ, IntegerRing, ModRing, PolyQuotientRing, RationalRing,
+                    Ring, RingElement, _rational)
 
 _WORDS = {struct.calcsize(code): code for code in "BHIQ"}  # unsigned, by size
 
@@ -111,8 +111,7 @@ def _accumulate(ring: Ring, terms) -> dict:
     pairs (key of x, key of y).  The rings of x and y are checked per
     term, and a boxed c is ring-checked and unboxed; a caller taking a raw
     c from an element checks that element's ring.  This is the one
-    accumulation routine, under :meth:`_Sparse.lincomb` and
-    :func:`tensor_sum_vanishes`."""
+    accumulation routine, under :meth:`_Sparse.lincomb`."""
     mul, add, one = ring._mul, ring._add, ring._one
     acc = {}
     for c, x, y in terms:
@@ -120,8 +119,9 @@ def _accumulate(ring: Ring, terms) -> dict:
             c = ring._value(c)
         if x.ring is not ring or (y is not None and y.ring is not ring):
             _check_ring(ring, x, y)
+        scaled = c != one  # a tuple one need not be the ring's own object
         for k, v in x.coeffs.items():
-            if c is not one:
+            if scaled:
                 v = mul(c, v)
             if y is None:
                 acc[k] = add(acc[k], v) if k in acc else v
@@ -295,9 +295,20 @@ class GradedMap:
         return Element.lincomb(self.basis, self.ring,
                                ((c, images[l], None) for l, c in x.coeffs.items()))
 
+    def _is_identity(self) -> bool:
+        """Whether every label is its own image, with coefficient one."""
+        one = self.ring._one
+        return all(len(img.coeffs) == 1 and img.coeffs.get(l, None) == one
+                   for l, img in self.images.items())
+
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other, by blocks (:func:`_packed_product`) or labels."""
+        """self after other, by blocks (:func:`_packed_product`) or labels;
+        the other factor itself when one factor is the identity."""
         self._check(other)
+        if self._is_identity():
+            return other
+        if other._is_identity():
+            return self
         images = {}
         for labels in self.basis.degrees:
             images.update(_packed_product(self, other, labels) or
@@ -360,9 +371,12 @@ def tensor_sum_vanishes(basis: GradedBasis, ring: Ring, terms) -> bool:
     the a (x) b form a basis of the free module D (x) D, so T = 0 exactly
     when, for each row key (x, a), M vanishes on every basis label y.  M
     depends only on the row (c_i A_i(x)[a])_i, so each distinct row is
-    tested once, its images summed by :func:`_accumulate`.  The test is
-    exact over every ring, zero divisors included, and no pair x (x) y is
-    visited.
+    tested once.  Per degree, the block of each B_i is packed whole by
+    :func:`_kronecker` (over ``Q`` and ``Q[q]/(f)`` all of them and the
+    rows scaled to integers, which keeps every zero), and the block of M is
+    one combination sum_i row_i * packed(B_i), zero exactly when its
+    decoded digits are.  The test is exact over every ring, zero divisors
+    included, and no pair x (x) y is visited.
     """
     terms = list(terms)
     for _, A, B in terms:
@@ -376,10 +390,22 @@ def tensor_sum_vanishes(basis: GradedBasis, ring: Ring, terms) -> bool:
             for a, v in A.images[x].coeffs.items():
                 row_of.setdefault(a, [zero] * len(terms))[i] = mul(c, v)
         rows.update(map(tuple, row_of.values()))
-    for row in rows:
-        live = [(r, B) for r, (_, _, B) in zip(row, terms) if r != zero]
-        for y in basis.labels:
-            if _accumulate(ring, ((r, B.images[y], None) for r, B in live)):
+    _, rows = _scaled(ring, [{i: r for i, r in enumerate(row) if r != zero}
+                             for row in rows])
+    flat, nonzero = _flat(ring), _truths(zero)
+    norm = max((sum(map(abs, flat(row.values()))) for row in rows), default=0)
+    for labels in basis.degrees:
+        n = len(labels)
+        _, columns = _scaled(ring, [B.images[y].coeffs for _, _, B in terms
+                                    for y in labels])
+        top = max((abs(x) for c in columns for x in flat(c.values())), default=0)
+        _, pack, unpack, lift = _kronecker(n * n, top, norm, ring)
+        packed = [pack([c.get(l, zero) for c in columns[i:i + n] for l in labels])
+                  for i in range(0, len(columns), n)]
+        for row in rows:
+            x = sum((r if lift is None else lift(r)) * packed[i]
+                    for i, r in row.items())
+            if x and any(nonzero(unpack(x))):
                 return False
     return True
 
@@ -391,13 +417,53 @@ def _integer_scaling(ring: Ring, values):
     Over ``Q``, ``rows`` is ``Z``, ``scale`` is the lcm of the denominators
     of ``values`` and raw(v) = v * scale, an ``int``: one common factor for
     the whole matrix, so its kernel and the span of its columns are
-    unchanged.  Elsewhere ``rows`` is ``ring``, ``scale`` is None and
-    ``raw`` the identity.
+    unchanged.  Over ``Q[q]/(f)`` the scale is the lcm over every entry of
+    the tuples, raw(v) the tuple v * scale and ``rows`` the ring itself.
+    Elsewhere ``rows`` is ``ring``, ``scale`` is None and ``raw`` the
+    identity.  :func:`_divided` undoes the scaling.
     """
-    if not isinstance(ring, RationalRing):
-        return None, lambda v: v, ring
-    scale = math.lcm(1, *(v.denominator for v in values))
-    return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
+    if isinstance(ring, RationalRing):
+        scale = math.lcm(1, *(v.denominator for v in values))
+        return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
+    if isinstance(ring, PolyQuotientRing) and isinstance(ring.base, RationalRing):
+        scale = math.lcm(1, *(c.denominator for v in values for c in v))
+        return scale, lambda v: tuple(c.numerator * (scale // c.denominator)
+                                      for c in v), ring
+    return None, lambda v: v, ring
+
+
+def _scaled(ring: Ring, block):
+    """(scale, block) for ``block``, a list of coefficient dicts of
+    ``ring``, its values scaled to integers by one common factor
+    (:func:`_integer_scaling`); the block itself when the scale is 1."""
+    s, raw, _ = _integer_scaling(ring, (v for c in block for v in c.values()))
+    if s in (None, 1):
+        return 1, block
+    return s, [{l: raw(v) for l, v in c.items()} for c in block]
+
+
+def _divided(v, s: int):
+    """The canonical raw value v / s of ``Q`` or ``Q[q]/(f)``, for v an
+    entry scaled by :func:`_integer_scaling` and an int s > 0."""
+    if v.__class__ is tuple:
+        return tuple(_rational(Fraction(c, s)) for c in v)
+    return _rational(Fraction(v, s))
+
+
+def _flat(ring: Ring):
+    """The function from raw values of ``ring`` to the integers that
+    :func:`_kronecker` bounds: the values themselves, or the entries of
+    the tuples of ``R[q]/(f)``."""
+    if isinstance(ring, PolyQuotientRing):
+        return chain.from_iterable
+    return lambda values: values
+
+
+def _truths(zero):
+    """A function from a raw vector to a sequence that is true exactly at
+    its nonzero entries: the vector itself, unless ``zero`` is true (the
+    tuple zero of ``R[q]/(f)``)."""
+    return (lambda v: map(zero.__ne__, v)) if zero else (lambda v: v)
 
 
 def _dense(nonzeros: int, n: int) -> bool:
@@ -405,62 +471,94 @@ def _dense(nonzeros: int, n: int) -> bool:
     return 4 * nonzeros >= n * n
 
 
+def _packs(nonzeros: int, n: int) -> bool:
+    """Whether a block runs through :func:`_kronecker`: a :func:`_dense`
+    block of three labels or more.  On one or two labels the codec's fixed
+    cost is several times that of the few products it would replace."""
+    return n >= 3 and _dense(nonzeros, n)
+
+
 def _kronecker(n: int, top: int, norm: int, ring: Ring):
-    """The one Kronecker substitution codec (k, pack, unpack) on n slots of
-    k bytes, 8k - 1 >= bit_length(top * max(norm, 1)) (a machine word when
-    one is wide enough), for entries |v| <= ``top`` and combinations of
-    l1-norm <= ``norm``, so every digit is exact.  pack(values) is the sum
-    of v_i 2**(8ki), unpack(x) the n digits of a combination x of packed
-    ints, reduced mod m on ``Z/m``; both bias each slot by 2**(8k - 1)."""
+    """The one Kronecker substitution codec (k, pack, unpack, lift) on n
+    slots of k bytes, 8k - 1 >= bit_length(top * max(norm, 1)) (a machine
+    word when one is wide enough), for entries |v| <= ``top`` and
+    combinations of l1-norm <= ``norm``, so every digit is exact.
+    pack(values) is the sum of v_i 2**(8ki), unpack(x) the n digits of a
+    combination x of packed ints, reduced mod m on ``Z/m``; both bias each
+    slot by 2**(8k - 1).  lift is None.
+
+    On ``R[q]/(f)``, e = deg f, the substitution has two levels: slot i is
+    2e - 1 sub-slots, q -> 2**(8k) and label i -> 2**(8k(2e - 1)i).  pack
+    lays the tuple v_i in the first e sub-slots of slot i, a multiplier v
+    enters a combination as lift(v) = sum_t v_t 2**(8kt), so each slot
+    holds a whole unreduced product, and unpack reduces each decoded slot
+    mod f once (``PolyQuotientRing._reduce_slots``).  There ``top`` bounds the
+    entries of the tuples and ``norm`` the l1-norm of all the entries of a
+    combination's multipliers: a digit sums, over the multipliers' entries
+    y_s, terms y_s c_t with s + t fixed, so it is at most top * norm.
+    """
     bits = (top * max(norm, 1)).bit_length() + 1
     k = next((w for w in sorted(_WORDS) if 8 * w >= bits), -(-bits // 8))
+    e = ring.degree if isinstance(ring, PolyQuotientRing) else 0
+    width = 2 * e - 1 if e else 1
+    slots = n * width
     half, order = 1 << (8 * k - 1), sys.byteorder
-    bias = int.from_bytes(half.to_bytes(k, order) * n, order)
+    bias = int.from_bytes(half.to_bytes(k, order) * slots, order)
     m = ring.m if isinstance(ring, ModRing) else None
 
-    def pack(values):
-        words = [v + half for v in values]
-        return int.from_bytes(struct.pack(f"{n}{_WORDS[k]}", *words) if k in _WORDS
+    def pack_words(words):
+        return int.from_bytes(struct.pack(f"{slots}{_WORDS[k]}", *words) if k in _WORDS
                               else b"".join(w.to_bytes(k, order) for w in words),
                               order) - bias
 
     def unpack(x):
-        data = (x + bias).to_bytes(n * k, order)
+        data = (x + bias).to_bytes(slots * k, order)
         words = (memoryview(data).cast(_WORDS[k]) if k in _WORDS else
-                 (int.from_bytes(data[i:i + k], order) for i in range(0, n * k, k)))
+                 (int.from_bytes(data[i:i + k], order) for i in range(0, slots * k, k)))
         return [(d - half) % m for d in words] if m else [d - half for d in words]
-    return k, pack, unpack
+
+    if not e:
+        return k, lambda values: pack_words([v + half for v in values]), unpack, None
+    shifts = [8 * k * t for t in range(e)]
+
+    def pack(values):
+        words = [half] * slots
+        for t in range(e):
+            words[t::width] = [v[t] + half for v in values]
+        return pack_words(words)
+
+    return (k, pack, lambda x: ring._reduce_slots(unpack(x), width),
+            lambda v: sum(map(lshift, v, shifts)))
 
 
 def _packed_product(f: GradedMap, g: GradedMap, labels):
     """The images of ``labels``, one degree's basis, under f o g as sums of
     g(l)[m] * packed(f(m)) (:func:`_kronecker`), slot i the coefficient of
-    labels[i].  ``Q`` packs integer rows (:func:`_integer_scaling`), ``Z/m``
-    residues in [0, m).  None on other rings and on a block of f that is
-    not :func:`_dense`, as label by label is cheaper then."""
+    labels[i].  ``Q`` and ``Q[q]/(f)`` pack integer values
+    (:func:`_scaled`), ``Z/m`` residues in [0, m).  None on a block of f
+    that does not :func:`_packs`, as label by label is cheaper then."""
     ring, n = f.ring, len(labels)
     fimg = [f.images[l].coeffs for l in labels]
-    if (not isinstance(ring, (IntegerRing, RationalRing, ModRing))
-            or not _dense(sum(map(len, fimg)), n)):
+    if not _packs(sum(map(len, fimg)), n):
         return None
-    blocks = [fimg, [g.images[l].coeffs for l in labels]]
-    scale = 1
-    for b, block in enumerate(blocks):
-        s, raw, _ = _integer_scaling(ring, (v for c in block for v in c.values()))
-        if s not in (None, 1):
-            scale *= s
-            blocks[b] = [{l: raw(v) for l, v in c.items()} for c in block]
-    fimg, gimg = blocks
-    top = max((abs(v) for c in fimg for v in c.values()), default=0)
-    norm = max((sum(map(abs, c.values())) for c in gimg), default=0)
-    _, pack, unpack = _kronecker(n, top, norm, ring)
-    packed = {m: pack([c.get(l, 0) for l in labels]) for m, c in zip(labels, fimg)}
-    canon = (lambda v: _rational(Fraction(v, scale))) if scale > 1 else int
+    sf, fimg = _scaled(ring, fimg)
+    sg, gimg = _scaled(ring, [g.images[l].coeffs for l in labels])
+    scale = sf * sg
+    flat, zero = _flat(ring), ring._zero
+    top = max((abs(x) for c in fimg for x in flat(c.values())), default=0)
+    norm = max((sum(map(abs, flat(c.values()))) for c in gimg), default=0)
+    _, pack, unpack, lift = _kronecker(n, top, norm, ring)
+    packed = {m: pack([c.get(l, zero) for l in labels]) for m, c in zip(labels, fimg)}
+    if lift is not None:
+        gimg = [{m: lift(v) for m, v in c.items()} for c in gimg]
     out = {}
     for l, c in zip(labels, gimg):
         digits = unpack(sum(v * packed[m] for m, v in c.items()))
-        out[l] = Element._of(f.basis, ring, {
-            x: canon(d) for x, d in zip(labels, digits) if d})
+        coeffs = {x: d for x, d in zip(labels, digits) if d != zero}
+        if scale > 1:
+            for x, d in coeffs.items():
+                coeffs[x] = _divided(d, scale)
+        out[l] = Element._of(f.basis, ring, coeffs)
     return out
 
 
@@ -541,8 +639,7 @@ def _eliminate(vectors, steps, zero, width):
     the same combination of the inputs' later entries.
     """
     as_pivot, clear = steps
-    # entries are tested by truth, unless the zero itself is true (a tuple)
-    nonzero = (lambda v: map(zero.__ne__, v)) if zero else (lambda v: v)
+    nonzero = _truths(zero)
     pivots = []
     for v in vectors:
         v = list(v)  # reduced in place; the caller keeps its vectors
@@ -565,12 +662,14 @@ class DegreeBlock:
     Row i (the i-th label of the degree) holds the positions j and the raw
     values of the nonzero entries g[i][j], the coefficient of label i in
     the image of label j; ``masks[j]`` has bit i set when column j touches
-    row i; a :func:`_dense` block over ``Z``, ``Q`` or ``Z/m`` caches its
-    columns packed at the widest slot a step has needed in ``packed``, as
-    (bytes, unpack, columns) (else None).  Over ``Q`` every entry is scaled
-    to an integer by the lcm ``scale`` of their denominators, so the rows
-    hold ``int``s and a chain runs on integer vectors z_k with
-    g^k(x) = z_k / scale**k, boxed in canonical form.
+    row i; a block that :func:`_packs` caches its columns packed at the widest
+    slot a step has needed in ``packed``, as (bytes, codec, columns) with
+    the codec of :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose
+    f has a non-integer coefficient).  Over ``Q`` and ``Q[q]/(f)`` every
+    entry is scaled to integers by the lcm ``scale`` of their
+    denominators, so the rows hold ``int``s (integer tuples) and a chain
+    runs on integer vectors z_k with g^k(x) = z_k / scale**k, boxed in
+    canonical form.
 
     Over ``Z`` and every field the block also finds, by the exact
     elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
@@ -579,7 +678,8 @@ class DegreeBlock:
     """
 
     __slots__ = ("map", "labels", "index", "rows", "masks", "dense", "packed",
-                 "top", "scale", "raw", "dot", "zero", "steps")
+                 "flat", "top", "scale", "raw", "dot", "zero", "nonzero",
+                 "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
@@ -590,6 +690,7 @@ class DegreeBlock:
         self.scale, self.raw, rows = _integer_scaling(
             ring, (c for img in images for c in img.values()))
         self.dot, self.zero = rows._dot, rows._zero
+        self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
         cols = [[] for _ in labels]
         vals = [[] for _ in labels]
@@ -602,20 +703,40 @@ class DegreeBlock:
                 masks[j] |= 1 << i
         self.rows = list(zip(cols, vals))
         self.masks = masks
-        self.dense = _dense(sum(map(len, cols)), len(labels))
-        packs = self.dense and isinstance(rows, (IntegerRing, ModRing))
+        nonzeros = sum(map(len, cols))
+        self.dense = _dense(nonzeros, len(labels))
+        # reducing by an f with a non-integer coefficient would leave the
+        # integer tuples that a chain over Q[q]/(f) is held in
+        packs = _packs(nonzeros, len(labels)) and (
+            not isinstance(ring, PolyQuotientRing)
+            or all(c.__class__ is int for c in ring.modulus))
         self.packed = (0, None, None) if packs else None
-        self.top = max(map(abs, chain(*vals)), default=0) if packs else None
+        self.flat = _flat(ring)
+        self.top = (max(map(abs, self.flat(chain(*vals))), default=0)
+                    if packs else None)
 
-    def _column(self, j):
-        """The image of label j as a raw vector and its support."""
-        index, raw = self.index, self.raw
+    def _vector(self, coeffs: dict, raw):
+        """The raw vector of ``coeffs``, each value through raw, and its
+        support."""
+        index = self.index
         y, support = [self.zero] * len(self.labels), []
-        for l, c in self.map.images[self.labels[j]].coeffs.items():
+        for l, c in coeffs.items():
             i = index[l]
             y[i] = raw(c)
             support.append(i)
         return y, support
+
+    def _column(self, j):
+        """The image of label j as a raw vector and its support."""
+        return self._vector(self.map.images[self.labels[j]].coeffs, self.raw)
+
+    def apply(self, x: Element) -> Element:
+        """g(x) for an element x of this degree, by one :meth:`_step`; over
+        ``Q`` and ``Q[q]/(f)`` x is first scaled to integers by the lcm of
+        its own denominators."""
+        scale, raw, _ = _integer_scaling(self.map.ring, x.coeffs.values())
+        y, support = self._step(*self._vector(x.coeffs, raw))
+        return self._boxer(y, support, 1, scale)()
 
     def _step(self, y, support):
         """g applied to the raw vector y, nonzero exactly on ``support``;
@@ -626,12 +747,16 @@ class DegreeBlock:
         """
         if self.packed is not None:
             ys, n = [y[j] for j in support], len(y)
-            k, pack, unpack = _kronecker(n, self.top, sum(map(abs, ys)), self.map.ring)
+            norm = sum(map(abs, self.flat(ys)))
+            codec = _kronecker(n, self.top, norm, self.map.ring)
+            k, pack, _, _ = codec
             if k > self.packed[0]:  # a wider slot is exact too: keep one
-                self.packed = k, unpack, [pack(self._column(j)[0]) for j in range(n)]
-            _, unpack, columns = self.packed
+                self.packed = k, codec, [pack(self._column(j)[0]) for j in range(n)]
+            _, (_, _, unpack, lift), columns = self.packed
+            if lift is not None:
+                ys = map(lift, ys)
             y = unpack(sum(map(mul, ys, map(columns.__getitem__, support))))
-            return y, list(compress(range(n), y))
+            return y, list(compress(range(n), self.nonzero(y)))
         rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
         touched = 0
         for j in support:
@@ -736,17 +861,17 @@ class DegreeBlock:
             sizes.append(len(boxes))
         return len(sizes)
 
-    def _boxer(self, y, support, k):
-        """The function that boxes step k, stored as y on ``support``."""
+    def _boxer(self, y, support, k, scale=1):
+        """The function that boxes step k, stored as y on ``support``,
+        whose start was scaled by ``scale`` as well."""
         g, labels = self.map, self.labels
         ring = g.ring
         if self.scale is None:
             return lambda: Element._of(g.basis, ring, {
                 labels[i]: y[i] for i in support})
-        denominator = self.scale ** k
+        denominator = self.scale ** k * scale
         return lambda: Element._of(g.basis, ring, {
-            labels[i]: ring._canon(Fraction(y[i], denominator))
-            for i in support})
+            labels[i]: _divided(y[i], denominator) for i in support})
 
 
 class Tensor2Map:

@@ -201,7 +201,8 @@ class Ring:
         """sum_i a_i * b_i over two equally long iterables of raw values.
 
         This generic fold skips terms with a zero factor; ``Z`` and
-        ``Z/m`` override it with a C-level sum of products.
+        ``Z/m`` override it with a C-level sum of products, ``R[q]/(f)``
+        with one unreduced convolution reduced once.
         """
         add, mul, zero = self._add, self._mul, self._zero
         acc = zero
@@ -215,6 +216,11 @@ class Ring:
         raise NotImplementedError
 
     def parse_value(self, text: str) -> RingElement:
+        """The element written ``text``, boxed from :meth:`_parse`."""
+        return RingElement(self, self._parse(text))
+
+    def _parse(self, text: str):
+        """The canonical raw value written ``text``."""
         raise NotImplementedError
 
 
@@ -238,8 +244,8 @@ class IntegerRing(Ring):
     def format_value(self, value):
         return str(value)
 
-    def parse_value(self, text):
-        return RingElement(self, int(text))
+    def _parse(self, text):
+        return int(text)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -290,8 +296,8 @@ class RationalRing(Ring):
     def format_value(self, value):
         return str(value)
 
-    def parse_value(self, text):
-        return RingElement(self, self._canon(text))
+    def _parse(self, text):
+        return self._canon(text)
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -342,8 +348,8 @@ class ModRing(Ring):
     def format_value(self, value):
         return str(value)
 
-    def parse_value(self, text):
-        return self.embed(int(text))
+    def _parse(self, text):
+        return int(text) % self.m
 
     def __eq__(self, other):
         return isinstance(other, ModRing) and other.m == self.m
@@ -356,10 +362,14 @@ class ModRing(Ring):
 
 
 class PolyQuotientRing(Ring):
-    """R[q]/(f) for R in {Z, Q} and monic f, residues of degree < deg f.
+    """R[q]/(f) for R in {Z, Q} and monic f, residues of degree < e = deg f.
 
     Values are fixed-length tuples of base-ring raw values, low degree
-    first.  Irreducibility over Q is caller-asserted via ``irreducible``
+    first.  A product, or a sum of products (:meth:`_dot`), is one
+    unreduced convolution of 2e - 1 entries summed in plain ``int`` and
+    ``Fraction`` arithmetic, reduced mod f once and made canonical once
+    (:meth:`_reduce`); sums and negations map the base operation over the
+    entries.  Irreducibility over Q is caller-asserted via ``irreducible``
     (:func:`ring_from_string` decides it where that is cheap); the ring is
     a field exactly when the base is Q and that flag is set.
     """
@@ -377,44 +387,86 @@ class PolyQuotientRing(Ring):
         self.base = base
         self.modulus = mod
         self.degree = len(mod) - 1
+        # q^e = sum_i tail[i] q^i mod f
+        self._tail = tuple(-c for c in mod[:-1])
+        self._over_q = isinstance(base, RationalRing)
+        self._constant = (0,) * (self.degree - 1)  # the tail of a constant
         self.irreducible = irreducible
         self.is_field = irreducible and isinstance(base, RationalRing)
 
     def _reduce(self, coeffs: list):
-        mod, d, base = self.modulus, self.degree, self.base
-        zero = base._zero
-        coeffs = list(coeffs)
-        for k in range(len(coeffs) - 1, d - 1, -1):
+        """The canonical residue mod f of the polynomial ``coeffs`` (a list
+        of ints and Fractions, low degree first, reduced in place): one long
+        division by the monic f, then ``_rational`` on each entry over Q."""
+        e, tail = self.degree, self._tail
+        for k in range(len(coeffs) - 1, e - 1, -1):
             c = coeffs[k]
-            if c != zero:
-                for i in range(d + 1):
-                    coeffs[k - d + i] = base._add(
-                        coeffs[k - d + i], base._neg(base._mul(c, mod[i])))
-        coeffs = coeffs[:d]
-        coeffs += [zero] * (d - len(coeffs))
-        return tuple(coeffs)
+            if c:
+                for i, t in enumerate(tail, k - e):
+                    coeffs[i] += c * t
+        if len(coeffs) < e:
+            coeffs += [0] * (e - len(coeffs))
+        if self._over_q:
+            return tuple(map(_rational, coeffs[:e]))
+        return tuple(coeffs[:e])
+
+    def _reduce_slots(self, coeffs: list, width: int):
+        """The canonical residues mod f of the polynomials held in
+        ``coeffs`` as consecutive runs of ``width`` >= e entries (reduced in
+        place): the long division of :meth:`_reduce`, run on every run at
+        once over strided slices."""
+        e = self.degree
+        for k in range(width - 1, e - 1, -1):
+            top = coeffs[k::width]
+            if any(top):
+                for i, t in enumerate(self._tail, k - e):
+                    if t:
+                        coeffs[i::width] = [x + c * t for x, c in
+                                            zip(coeffs[i::width], top)]
+        residues = zip(*[coeffs[t::width] for t in range(e)])
+        if self._over_q:
+            return [tuple(map(_rational, r)) for r in residues]
+        return list(residues)
 
     def _canon(self, value):
         return self._reduce([self.base._value(c) for c in value])
 
     def _embed_int(self, n):
-        return self._reduce([self.base._embed_int(n)])
+        return self._reduce([n])
 
     def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        base = self.base
-        zero = base._zero
-        out = [zero] * (2 * self.degree - 1)
+        # the one-pair case of _dot, inlined: it runs in every product.  A
+        # constant factor, as every structure constant of the zoo is,
+        # leaves the degree below e: nothing to reduce
+        if a[1:] == self._constant:
+            a, b = b, a
+        if b[1:] == self._constant:
+            c = b[0]
+            if self._over_q:
+                return tuple([_rational(c * x) for x in a])
+            return tuple([c * x for x in a])
+        out = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = base._add(out[i + j], base._mul(x, y))
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return self._reduce(out)
+
+    def _dot(self, a, b):
+        """sum_i a_i * b_i, its convolutions summed unreduced, then reduced
+        mod f once."""
+        out = [0] * (2 * self.degree - 1)
+        for u, v in zip(a, b):
+            for i, x in enumerate(u):
+                if x:
+                    for j, y in enumerate(v, i):
+                        out[j] += x * y
         return self._reduce(out)
 
     def _inv(self, a):
@@ -436,12 +488,11 @@ class PolyQuotientRing(Ring):
     def format_value(self, value):
         return "(" + ",".join(self.base.format_value(c) for c in value) + ")"
 
-    def parse_value(self, text):
+    def _parse(self, text):
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
             raise StructuralError(f"bad quotient-ring value: {text!r}")
-        parts = text[1:-1].split(",")
-        return self.element([self.base.parse_value(p).value for p in parts])
+        return self._reduce([self.base._parse(p) for p in text[1:-1].split(",")])
 
     def __eq__(self, other):
         return (isinstance(other, PolyQuotientRing)
@@ -547,7 +598,7 @@ def ring_from_string(text: str) -> Ring:
         m = _RING_RE.match(text)
         if m:
             base = ZZ if m.group(1) == "Z" else QQ
-            coeffs = [base.parse_value(c).value for c in m.group(2).split(",")]
+            coeffs = [base._parse(c) for c in m.group(2).split(",")]
             ring = PolyQuotientRing(base, coeffs)
             if base is QQ and irreducible_over_q(ring.modulus):
                 ring.irreducible = ring.is_field = True

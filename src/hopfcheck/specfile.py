@@ -192,7 +192,7 @@ class _Parser:
             if len(tokens) != arity + 1:
                 self.fail(lineno, f"bad term {term.strip()!r}")
             try:
-                coeff = self._need(lineno, "ring", self.ring).parse_value(tokens[0])
+                coeff = self._need(lineno, "ring", self.ring)._parse(tokens[0])
             except (StructuralError, ValueError) as exc:
                 self.fail(lineno, f"bad coefficient {tokens[0]!r}: {exc}")
             out.append((coeff, tuple(tokens[1:])))
@@ -204,7 +204,7 @@ class _Parser:
             self.fail(lineno, "counit needs one label")
         try:
             self.counit_rows[head[0]] = self._need(
-                lineno, "ring", self.ring).parse_value(tail)
+                lineno, "ring", self.ring)._parse(tail)
         except (StructuralError, ValueError) as exc:
             self.fail(lineno, f"bad coefficient: {exc}")
 
@@ -274,15 +274,14 @@ class _Parser:
         ring = self.ring
 
         def sparse(cls, lineno, terms):
-            """The parsed terms summed on raw values into a ``cls``."""
+            """The parsed raw terms summed into a ``cls``."""
             coeffs = {}
             for coeff, labels in terms:
                 for label in labels:
                     if label not in basis:
                         self.fail(lineno, f"unknown label {label!r}")
                 key = labels if cls is Tensor2Element else labels[0]
-                coeffs[key] = ring._add(coeffs.get(key, ring._zero),
-                                        coeff.value)
+                coeffs[key] = ring._add(coeffs.get(key, ring._zero), coeff)
             return cls(basis, ring, coeffs)
 
         products = {}

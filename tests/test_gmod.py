@@ -1,6 +1,7 @@
 """Graded free modules, sparse elements, tensor squares, graded maps."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,9 +169,14 @@ def applied(f, g):
                                   for l in BP.labels})
 
 
+def typed_value(v):
+    """v with its type, and a tuple's entries with theirs."""
+    return (type(v), tuple(map(typed_value, v)) if type(v) is tuple else v)
+
+
 def typed(f):
     """The entries of f with their types, so a non-canonical value shows."""
-    return {l: {k: (type(v), v) for k, v in img.coeffs.items()}
+    return {l: {k: typed_value(v) for k, v in img.coeffs.items()}
             for l, img in f.images.items()}
 
 
@@ -181,12 +187,18 @@ def maps_over(entries):
                     min_size=len(CELLS), max_size=len(CELLS))
 
 
+ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
+QQ_Q = PolyQuotientRing(QQ, [1, 0, 1])
+
+
 @pytest.mark.parametrize("ring, entries", [
     (ZZ, st.integers(-2**100, 2**100)),
     (QQ, st.fractions(-50, 50, max_denominator=12)),
     (ModRing(6), st.integers(0, 5)),
     (ModRing(7), st.integers(-30, 30)),
-], ids=["Z", "Q", "Z/6", "Z/7"])
+    (ZQ3, st.tuples(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))),
+    (QQ_Q, st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 2)),
+], ids=["Z", "Q", "Z/6", "Z/7", "Z[q]/(1,1,1)", "Q[q]/(1,0,1)"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compose_matches_per_label_application(ring, entries, data):
@@ -207,19 +219,61 @@ def test_compose_with_a_zero_map(ring):
 def test_packed_digit_at_the_width_bound(bound):
     """f(x) = f(y) = x - y and g(x) = -g(y) = a x + b y with a + b = bound:
     every digit of f o g on degree 1 is +-bound = max|f| * max l1-norm of
-    g, which fills its slot exactly for bounds 2**(8k - 1) - 1."""
-    basis = GradedBasis([["1"], ["x", "y"]])
+    g, which fills its slot exactly for bounds 2**(8k - 1) - 1.  A third
+    label z, with f(z) = g(z) = 0, makes the block large enough to pack."""
+    basis = GradedBasis([["1"], ["x", "y", "z"]])
     a, b = bound // 3, bound - bound // 3
 
     def image(c):
         return Element(basis, ZZ, c)
     f = GradedMap(basis, ZZ, {"1": image({"1": 1}), "x": image({"x": 1, "y": -1}),
-                              "y": image({"x": 1, "y": -1})})
+                              "y": image({"x": 1, "y": -1}), "z": image({})})
     g = GradedMap(basis, ZZ, {"1": image({"1": 1}), "x": image({"x": a, "y": b}),
-                              "y": image({"x": -a, "y": -b})})
+                              "y": image({"x": -a, "y": -b}), "z": image({})})
     assert _packed_product(f, g, basis.degrees[1]) == {
         "x": image({"x": bound, "y": -bound}),
-        "y": image({"x": -bound, "y": bound})}
+        "y": image({"x": -bound, "y": bound}), "z": image({})}
+
+
+@pytest.mark.parametrize("bound", [2**7 - 1, 2**15 - 1, 2**63 - 1, 2**64 - 1])
+@pytest.mark.parametrize("ring", [ZQ3, QQ_Q], ids=repr)
+def test_packed_quotient_digit_at_the_width_bound(ring, bound):
+    """f(x) = f(y) = q x - q y and g(x) = -g(y) = a q x + b q y with
+    a + b = bound (f(z) = g(z) = 0): before the reduction mod f, every
+    slot of f o g on degree 1 is +-bound q^2, a digit in the last of its
+    2e - 1 sub-slots equal to max|f| * max l1-norm of g, which fills it
+    exactly for bounds 2**(8k - 1) - 1."""
+    basis = GradedBasis([["1"], ["x", "y", "z"]])
+    a, b = bound // 3, bound - bound // 3
+
+    def image(c):
+        return Element(basis, ring, {l: ring.element(v) for l, v in c.items()})
+    f = GradedMap(basis, ring, {"1": image({"1": [1]}),
+                                "x": image({"x": [0, 1], "y": [0, -1]}),
+                                "y": image({"x": [0, 1], "y": [0, -1]}),
+                                "z": image({})})
+    g = GradedMap(basis, ring, {"1": image({"1": [1]}),
+                                "x": image({"x": [0, a], "y": [0, b]}),
+                                "y": image({"x": [0, -a], "y": [0, -b]}),
+                                "z": image({})})
+    top = [0, 0, bound]  # bound q^2
+    assert _packed_product(f, g, basis.degrees[1]) == {
+        "x": image({"x": top, "y": [-c for c in top]}),
+        "y": image({"x": [-c for c in top], "y": top}), "z": image({})}
+
+
+@pytest.mark.parametrize("modulus", [[Fraction(1, 2), 0, 1],
+                                     [1, 0, Fraction(1, 2), 1]], ids=str)
+def test_packed_compose_over_a_non_integer_modulus(modulus):
+    """Reducing by q^2 + 1/2, or by q^3 + q^2/2 + 1, leaves the integers:
+    the decoded products are reduced to Fractions, a Fraction reduced
+    again by an integer coefficient, and then divided by the scales,
+    exactly."""
+    ring = PolyQuotientRing(QQ, modulus)
+    for first in (Fraction(1, 3), 2):  # scaled, and integral (scale 1)
+        f = block_map(ring, [(first, i % 3, 1 - i % 2) for i in range(len(CELLS))])
+        assert _packed_product(f, f, BP.degrees[2]) is not None
+        assert typed(f.compose(f)) == typed(applied(f, f))
 
 
 @given(f=rand_maps(ModRing(5)), a=st.integers(0, 3), b=st.integers(0, 3))

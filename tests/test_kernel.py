@@ -31,6 +31,8 @@ ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 # a quotient declared a field, and one that is not declared a field
 QFIELD = PolyQuotientRing(QQ, [1, 1, 1], irreducible=True)
 QQ_Q = PolyQuotientRing(QQ, [1, 0, 1])
+# a modulus with a non-integer coefficient: reducing by it leaves Z
+QHALF = PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1])
 RINGS = [ZZ, QQ, ModRing(5), ModRing(6), ZQ3]
 FIELDS = [QQ, ModRing(5), QFIELD]
 ids = [repr(r) for r in RINGS]
@@ -197,6 +199,46 @@ def test_map_application_and_composition(ring, data):
     for label in LABELS:
         assert boxed(fg.images[label]) == naive_apply(
             f.images, ring, boxed(g.images[label]))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_compose_with_the_identity_returns_the_other_factor(ring, data):
+    f = data.draw(homogeneous_maps(ring))
+    e, e2 = GradedMap.identity(B, ring), GradedMap.identity(B, ring)
+    assert e.compose(f) is f
+    assert f.compose(e) is f
+    assert e.compose(e2) is e2
+
+
+def near_identities(ring):
+    """The identity with one coefficient off, or with one extra term in
+    the image of a label of degree 1 or 2."""
+    def build(label, other_at, c, extra):
+        images = dict(GradedMap.identity(B, ring).images)
+        if extra:
+            same = [m for m in B.labels_of_degree(B.degree_of(label)) if m != label]
+            images[label] = Element(B, ring, {label: ring.one,
+                                              same[other_at % len(same)]: c})
+        else:
+            images[label] = Element(B, ring, {label: ring.one + c})
+        return GradedMap(B, ring, images)
+    return st.builds(build, st.sampled_from(LABELS[1:]), st.integers(0, 3),
+                     scalars(ring).filter(bool), st.booleans())
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_compose_with_a_near_identity_composes_in_full(ring, data):
+    f = data.draw(homogeneous_maps(ring))
+    near = data.draw(near_identities(ring))
+    for a, b in ((near, f), (f, near), (near, near)):
+        ab = a.compose(b)
+        for label in LABELS:
+            assert boxed(ab.images[label]) == naive_apply(
+                a.images, ring, boxed(b.images[label]))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=ids)
@@ -782,10 +824,15 @@ PACK_CELLS = [(l, m) for labels in PACK_BASIS.degrees
               for l in labels for m in labels]
 
 
+def typed_value(v):
+    """v with its type, and a tuple's entries with theirs."""
+    return (type(v), tuple(map(typed_value, v)) if type(v) is tuple else v)
+
+
 def typed(x):
     """The coefficients of x with their types, so a non-canonical value
     shows."""
-    return {k: (type(v), v) for k, v in x.coeffs.items()}
+    return {k: typed_value(v) for k, v in x.coeffs.items()}
 
 
 def row_reference(g, d):
@@ -795,12 +842,19 @@ def row_reference(g, d):
     return block
 
 
-@pytest.mark.parametrize("ring, entries", [
+FRACTIONS = st.fractions(-50, 50, max_denominator=12)
+PACKED_RINGS = [
     (ZZ, st.integers(-2**100, 2**100)),
-    (QQ, st.fractions(-50, 50, max_denominator=12)),
+    (QQ, FRACTIONS),
     (ModRing(6), st.integers(0, 5)),
     (ModRing(7), st.integers(-30, 30)),
-], ids=["Z", "Q", "Z/6", "Z/7"])
+    (ZQ3, st.tuples(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))),
+    (QQ_Q, st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 2)),
+]
+
+
+@pytest.mark.parametrize("ring, entries", PACKED_RINGS,
+                         ids=[repr(r) for r, _ in PACKED_RINGS])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_the_row_reference(ring, entries, data):
@@ -815,8 +869,8 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
                                      for l, c in images.items()})
     for d, labels in enumerate(PACK_BASIS.degrees):
         block, rows = DegreeBlock(g, d), row_reference(g, d)
-        assert (block.packed is not None) == block.dense
         n = len(labels)
+        assert (block.packed is not None) == (block.dense and n >= 3)
         assert block._step([block.zero] * n, []) == ([block.zero] * n, [])
         for label in labels:
             walked = [typed(box()) for box in itertools.islice(block.chain(label), 6)]
@@ -826,6 +880,11 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
             if expected[-1].is_zero():
                 expected.pop()
             assert walked == [typed(y) for y in expected]
+        for label in labels:
+            x = g._apply(Element.basis_vector(PACK_BASIS, ring, label))
+            for y in (x, g._apply(x)):
+                assert typed(block.apply(y)) == typed(rows.apply(y)) == typed(
+                    g._apply(y))
         levels = block.spans()
         if levels is None:
             continue
@@ -837,8 +896,9 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
 def test_sparse_and_tuple_blocks_step_by_rows(ring):
-    """A block under a quarter nonzero, and any block over a tuple-valued
-    ring, keeps the row step; an empty degree has no spans."""
+    """A block under a quarter nonzero, and a dense block over a quotient
+    whose modulus has a non-integer coefficient, keeps the row step; an
+    empty degree has no spans."""
     vec = lambda l, c: Element(PACK_BASIS, ring, {l: c})
     zero = Element.zero(PACK_BASIS, ring)
     images = {l: zero for l in PACK_BASIS.labels}
@@ -850,8 +910,8 @@ def test_sparse_and_tuple_blocks_step_by_rows(ring):
     for box in itertools.islice(block.chain("p"), 5):
         assert typed(box()) == typed(y)
         y = g._apply(y)
-    dense = GradedMap(PACK_BASIS, ZQ3, {
-        l: Element(PACK_BASIS, ZQ3, {m: ZQ3.element([1, 1]) for m in labels})
+    dense = GradedMap(PACK_BASIS, QHALF, {
+        l: Element(PACK_BASIS, QHALF, {m: QHALF.element([1, 1]) for m in labels})
         for labels in PACK_BASIS.degrees for l in labels})
     tuple_block = DegreeBlock(dense, 3)
     assert tuple_block.dense and tuple_block.packed is None
@@ -863,38 +923,63 @@ def test_sparse_and_tuple_blocks_step_by_rows(ring):
 
 
 def difference_block():
-    """The packed degree-1 block of g(x) = -g(y) = x - y over ``Z``."""
-    basis = GradedBasis([["1"], ["x", "y"]])
+    """The packed degree-1 block of g(x) = -g(y) = x - y, g(z) = 0 over
+    ``Z`` (three labels, the fewest that pack)."""
+    basis = GradedBasis([["1"], ["x", "y", "z"]])
     image = lambda c: Element(basis, ZZ, c)
     g = GradedMap(basis, ZZ, {"1": image({}), "x": image({"x": 1, "y": -1}),
-                              "y": image({"x": -1, "y": 1})})
+                              "y": image({"x": -1, "y": 1}), "z": image({})})
     block = DegreeBlock(g, 1)
     assert block.packed is not None
     return block
 
 
-@pytest.mark.parametrize("bound", [2**7 - 1, 2**8 - 1, 2**15 - 1, 2**16 - 1,
-                                   2**63 - 1, 2**64 - 1, 2**71 - 1, 2**72 - 1])
+WIDTH_BOUNDS = [2**7 - 1, 2**8 - 1, 2**15 - 1, 2**16 - 1,
+                2**63 - 1, 2**64 - 1, 2**71 - 1, 2**72 - 1]
+
+
+@pytest.mark.parametrize("bound", WIDTH_BOUNDS)
 def test_packed_step_digit_at_the_width_bound(bound):
     """g(x) = -g(y) = x - y and the vector a x - b y with a + b = bound:
     both digits of its image are +-bound = max|entry| * ||y||_1, which
     fills its slot exactly for bounds 2**(8k - 1) - 1 and needs a wider
     slot for bounds 2**(8k) - 1."""
     a = bound // 3
-    assert difference_block()._step([a, a - bound], [0, 1]) == (
-        [bound, -bound], [0, 1])
+    assert difference_block()._step([a, a - bound, 0], [0, 1]) == (
+        [bound, -bound, 0], [0, 1])
+
+
+@pytest.mark.parametrize("bound", WIDTH_BOUNDS)
+@pytest.mark.parametrize("ring", [ZQ3, QQ_Q], ids=repr)
+def test_packed_quotient_step_digit_at_the_width_bound(ring, bound):
+    """g(x) = -g(y) = q x - q y and the vector a q x - b q y with
+    a + b = bound (g(z) = 0): each image is +-bound q^2 before the
+    reduction mod f, a digit in the last of the 2e - 1 sub-slots of its
+    slot that fills it exactly for bounds 2**(8k - 1) - 1, and is
+    +-bound q^2 mod f."""
+    basis = GradedBasis([["1"], ["x", "y", "z"]])
+    q, minus_q = ring.element([0, 1]).value, ring.element([0, -1]).value
+    image = lambda c: Element(basis, ring, c)
+    g = GradedMap(basis, ring, {"1": image({}), "x": image({"x": q, "y": minus_q}),
+                                "y": image({"x": minus_q, "y": q}), "z": image({})})
+    block = DegreeBlock(g, 1)
+    assert block.packed is not None
+    a = bound // 3
+    top, zero = ring._reduce([0, 0, bound]), ring._zero
+    assert block._step([(0, a), (0, a - bound), zero], [0, 1]) == (
+        [top, ring._neg(top), zero], [0, 1])
 
 
 def test_packed_step_keeps_one_packing_at_the_widest_slot():
     """A step that needs a wider slot repacks the columns; a later step
     that fits a narrower one decodes them at the wider slot, exactly."""
     block = difference_block()
-    assert block._step([3, -1], [0, 1]) == ([4, -4], [0, 1])
+    assert block._step([3, -1, 0], [0, 1]) == ([4, -4, 0], [0, 1])
     assert block.packed[0] == 1
     big = 2**100
-    assert block._step([big, -big], [0, 1]) == ([2 * big, -2 * big], [0, 1])
+    assert block._step([big, -big, 0], [0, 1]) == ([2 * big, -2 * big, 0], [0, 1])
     wide, _, columns = block.packed
-    assert wide > 8 and len(columns) == 2
-    assert block._step([3, -1], [0, 1]) == ([4, -4], [0, 1])
-    assert block._step([5, 5], [0, 1]) == ([0, 0], [])
+    assert wide > 8 and len(columns) == 3
+    assert block._step([3, -1, 0], [0, 1]) == ([4, -4, 0], [0, 1])
+    assert block._step([5, 5, 0], [0, 1]) == ([0, 0, 0], [])
     assert block.packed[0] == wide and block.packed[2] is columns

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.rings import (QQ, ZZ, ModRing, PolyQuotientRing, binomial,
@@ -176,6 +176,94 @@ def test_quotient_inverse_holds_canonical_rationals(ring, a, b):
     for c in inv:
         assert type(c) is type(QQ._canon(c)) and c == QQ._canon(c)
     assert ring._mul((a, b), inv) == ring._one
+
+
+# --- quotient-ring kernels against schoolbook arithmetic --------------------
+
+# (ring, entries): Z[q]/(1 + q + q^2), a degree-1 modulus, a degree-3
+# modulus with non-unit coefficients, and Q[q]/(1 + q^2) over Fractions
+QUOTIENT_KERNELS = [
+    (PolyQuotientRing(ZZ, [1, 1, 1]), st.integers(-10 ** 6, 10 ** 6)),
+    (PolyQuotientRing(ZZ, [3, 1]), st.integers(-50, 50)),
+    (PolyQuotientRing(ZZ, [2, -3, 0, 1]), st.integers(-50, 50)),
+    (PolyQuotientRing(QQ, [1, 0, 1]),
+     st.fractions(min_value=-20, max_value=20, max_denominator=9)),
+]
+quotient_ids = [repr(ring) for ring, _ in QUOTIENT_KERNELS]
+
+
+def canonical(x):
+    """The canonical raw base value of the int or Fraction x."""
+    return x.numerator if Fraction(x).denominator == 1 else x
+
+
+def schoolbook_product(a, b):
+    """The product of two coefficient lists, low degree first, unreduced."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def schoolbook_residue(ring, poly):
+    """``poly`` mod the ring's monic modulus, by long division over
+    Fractions: the highest term c q^n is replaced by c q^(n - e) times
+    q^e = -(f_0 + ... + f_(e-1) q^(e-1))."""
+    mod = [Fraction(c) for c in ring.modulus]
+    e = len(mod) - 1
+    rem = [Fraction(c) for c in poly]
+    while len(rem) > e:
+        c = rem.pop()
+        for i in range(e):
+            rem[len(rem) - e + i] -= c * mod[i]
+    return rem + [Fraction(0)] * (e - len(rem))
+
+
+def assert_residue(ring, value, expected):
+    """value is the canonical raw value of the residue ``expected``: a
+    tuple of deg f base values, each an int when integral."""
+    assert type(value) is tuple and len(value) == ring.degree
+    for v, x in zip(value, expected):
+        assert_canonical_rational(v, x)
+
+
+@pytest.mark.parametrize("ring, entries", QUOTIENT_KERNELS, ids=quotient_ids)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_kernels_match_schoolbook_arithmetic(ring, entries, data):
+    values = st.tuples(*[entries.map(canonical)] * ring.degree)
+    a, b = data.draw(values), data.draw(values)
+    assert_residue(ring, ring._mul(a, b),
+                   schoolbook_residue(ring, schoolbook_product(a, b)))
+    # a constant factor on either side
+    c = (data.draw(entries.map(canonical)),) + (0,) * (ring.degree - 1)
+    for x, y in ((c, b), (b, c)):
+        assert_residue(ring, ring._mul(x, y),
+                       schoolbook_residue(ring, schoolbook_product(x, y)))
+    assert_residue(ring, ring._add(a, b),
+                   [Fraction(x) + Fraction(y) for x, y in zip(a, b)])
+    assert_residue(ring, ring._neg(a), [-Fraction(x) for x in a])
+    pairs = data.draw(st.lists(st.tuples(values, values), max_size=6))
+    total = [Fraction(0)] * (2 * ring.degree - 1)
+    for u, v in pairs:
+        total = [s + t for s, t in zip(total, schoolbook_product(u, v))]
+    assert_residue(ring, ring._dot([u for u, _ in pairs], [v for _, v in pairs]),
+                   schoolbook_residue(ring, total))
+    # _canon takes any length and non-canonical Fractions such as 4/2
+    poly = data.draw(st.lists(entries, max_size=3 * ring.degree + 1))
+    assert_residue(ring, ring._canon(poly), schoolbook_residue(ring, poly))
+    n = data.draw(st.integers(-10 ** 30, 10 ** 30))
+    assert_residue(ring, ring._embed_int(n), schoolbook_residue(ring, [n]))
+
+
+@pytest.mark.parametrize("ring, entries", QUOTIENT_KERNELS, ids=quotient_ids)
+def test_quotient_dot_of_empty_and_zero_inputs(ring, entries):
+    zero = (0,) * ring.degree
+    assert ring._zero == zero
+    for a, b in (([], []), ([zero] * 3, [ring._one] * 3),
+                 ([ring._one] * 2, [zero] * 2), ([zero], [zero])):
+        assert_residue(ring, ring._dot(a, b), [Fraction(0)] * ring.degree)
 
 
 # --- binomial --------------------------------------------------------------
