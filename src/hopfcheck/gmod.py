@@ -253,7 +253,7 @@ class GradedMap:
     """A linear endomap given by its images on all basis labels; each image
     is homogeneous of its label's degree and over the map's ring."""
 
-    __slots__ = ("basis", "ring", "images")
+    __slots__ = ("basis", "ring", "images", "_blocks")
 
     def __init__(self, basis: GradedBasis, ring: Ring, images: dict):
         missing = [l for l in basis.labels if l not in images]
@@ -262,6 +262,7 @@ class GradedMap:
         self.basis = basis
         self.ring = ring
         self.images = images
+        self._blocks = {}  # degree -> its packed DegreeBlock, or None
         for label, img in images.items():
             _check_ring(ring, img)
             bound = basis.degree_of(label)
@@ -286,9 +287,28 @@ class GradedMap:
             raise StructuralError("maps over different modules")
 
     def __call__(self, x: Element) -> Element:
+        """self(x): by one packed step of the :class:`DegreeBlock` of x's
+        degree when x is homogeneous and that block :func:`_packs`, else
+        label by label."""
         if not _same_module(x, self):
             raise StructuralError("argument from a different module")
-        return self._apply(x)
+        block = self._block_of(x)
+        return self._apply(x) if block is None else block.apply(x)
+
+    def _block_of(self, x: Element):
+        """The packed block of the degree of x, built on first use and
+        kept; None when x is zero or not homogeneous, or the block does not
+        pack."""
+        if not x.coeffs:
+            return None
+        basis, blocks = self.basis, self._blocks
+        d = basis._degree_of[next(iter(x.coeffs))]
+        if d not in blocks:
+            labels = basis.degrees[d]
+            nonzeros = sum(len(self.images[l].coeffs) for l in labels)
+            block = DegreeBlock(self, d) if _packs(nonzeros, len(labels)) else None
+            blocks[d] = None if block is None or block.packed is None else block
+        return blocks[d] if x.coeffs.keys() <= basis._label_sets[d] else None
 
     def _apply(self, x: Element) -> Element:
         images = self.images
@@ -367,47 +387,31 @@ def tensor_sum_vanishes(basis: GradedBasis, ring: Ring, terms) -> bool:
     square is zero, for ``terms`` of (c_i, A_i, B_i): c_i a raw value of
     ``ring``, A_i and B_i maps over ``basis`` and ``ring``.
 
-    T(x (x) y) = sum_a a (x) M(y) with M = sum_i (c_i A_i(x)[a]) B_i, and
-    the a (x) b form a basis of the free module D (x) D, so T = 0 exactly
-    when, for each row key (x, a), M vanishes on every basis label y.  M
-    depends only on the row (c_i A_i(x)[a])_i, so each distinct row is
-    tested once.  Per degree, the block of each B_i is packed whole by
-    :func:`_kronecker` (over ``Q`` and ``Q[q]/(f)`` all of them and the
-    rows scaled to integers, which keeps every zero), and the block of M is
-    one combination sum_i row_i * packed(B_i), zero exactly when its
-    decoded digits are.  The test is exact over every ring, zero divisors
-    included, and no pair x (x) y is visited.
+    The coefficient of a (x) b in T(x (x) y) is sum_i c_i A_i(x)[a]
+    B_i(y)[b], the ``Ring._dot`` of the row (c_i A_i(x)[a])_i and the
+    column (B_i(y)[b])_i, and the a (x) b form a basis of the free module
+    D (x) D, so T = 0 exactly when every row dots every column to zero.
+    Each distinct row and column is collected once, from the keys (x, a)
+    and (y, b) where some map is nonzero; the test is exact over every
+    ring, zero divisors included, and no pair x (x) y is visited.
     """
     terms = list(terms)
     for _, A, B in terms:
         if not (_same_module(A, B) and A.basis == basis and A.ring == ring):
             raise StructuralError("maps over different modules")
-    mul, zero = ring._mul, ring._zero
-    rows = set()
+    mul, zero, n = ring._mul, ring._zero, len(terms)
+    rows, columns = set(), set()
     for x in basis.labels:
-        row_of = {}
-        for i, (c, A, _) in enumerate(terms):
+        row_of, column_of = {}, {}
+        for i, (c, A, B) in enumerate(terms):
             for a, v in A.images[x].coeffs.items():
-                row_of.setdefault(a, [zero] * len(terms))[i] = mul(c, v)
+                row_of.setdefault(a, [zero] * n)[i] = mul(c, v)
+            for b, v in B.images[x].coeffs.items():
+                column_of.setdefault(b, [zero] * n)[i] = v
         rows.update(map(tuple, row_of.values()))
-    _, rows = _scaled(ring, [{i: r for i, r in enumerate(row) if r != zero}
-                             for row in rows])
-    flat, nonzero = _flat(ring), _truths(zero)
-    norm = max((sum(map(abs, flat(row.values()))) for row in rows), default=0)
-    for labels in basis.degrees:
-        n = len(labels)
-        _, columns = _scaled(ring, [B.images[y].coeffs for _, _, B in terms
-                                    for y in labels])
-        top = max((abs(x) for c in columns for x in flat(c.values())), default=0)
-        _, pack, unpack, lift = _kronecker(n * n, top, norm, ring)
-        packed = [pack([c.get(l, zero) for c in columns[i:i + n] for l in labels])
-                  for i in range(0, len(columns), n)]
-        for row in rows:
-            x = sum((r if lift is None else lift(r)) * packed[i]
-                    for i, r in row.items())
-            if x and any(nonzero(unpack(x))):
-                return False
-    return True
+        columns.update(map(tuple, column_of.values()))
+    dot = ring._dot
+    return all(dot(row, column) == zero for row in rows for column in columns)
 
 
 def _integer_scaling(ring: Ring, values):

@@ -92,6 +92,19 @@ def test_export_then_verify_spec(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("ring", ["Z", "Z[q]/(1,1,1)", "Q[q]/(1,0,1)"])
+def test_binomial_identity_on_a_spec_with_empty_degrees(tmp_path, capsys, ring):
+    """One generator of degree 2 leaves degrees 1 and 3 without labels."""
+    path = tmp_path / "gap.hspec"
+    path.write_text(f"hopf-spec 1\nname gap\nring {ring}\nmaxdeg 4\nfree\n"
+                    "generator c 2 = primitive\n")
+    code, out, _ = run(capsys, "verify", "--spec", str(path),
+                       "--suite", "binomial-identity", "--format", "structured")
+    assert code == 0
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert checks and {c["status"] for c in checks} == {"pass"}
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 @pytest.mark.parametrize("flag, value", [("--ring", "Q"), ("--maxdeg", "2"),
                                          ("--rank", "3"), ("--taft-n", "4")])

@@ -10,7 +10,7 @@ from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
                             Tensor2Map, _packed_product, kernel_vectors,
                             tensor_sum_vanishes)
-from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
+from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing, RingElement
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
 
@@ -308,7 +308,9 @@ def test_apply_tensor_matches_materialized():
 
 # --- operators on the tensor square ---------------------------------------
 
-TENSOR_RINGS = [ZZ, QQ, ModRing(5), ModRing(6), PolyQuotientRing(ZZ, [1, 1, 1])]
+TENSOR_RINGS = [ZZ, QQ, ModRing(5), ModRing(6), PolyQuotientRing(ZZ, [1, 1, 1]),
+                PolyQuotientRing(QQ, [1, 0, 1]),
+                PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1])]
 
 
 def ring_values(ring):
@@ -317,6 +319,8 @@ def ring_values(ring):
     values = [ring.embed(n) for n in (1, -1, 2, 3)]
     if isinstance(ring, PolyQuotientRing):
         values.append(ring.element([0, 1]))
+        if ring.base == QQ:
+            values.append(ring.element([Fraction(1, 2), Fraction(-2, 3)]))
     return values
 
 
@@ -324,10 +328,10 @@ def ring_values(ring):
 SMALL = GradedBasis([["x", "y"], ["z"]])
 
 
-def naive_vanishes(terms):
+def naive_vanishes(terms, basis=SMALL):
     """Whether sum_i c_i (A_i (x) B_i) is zero, evaluated on every basis
     pair x (x) y with boxed arithmetic."""
-    for x, y in itertools.product(SMALL.labels, repeat=2):
+    for x, y in itertools.product(basis.labels, repeat=2):
         acc = {}
         for c, f, g in terms:
             fx, gy = f.images[x], g.images[y]
@@ -380,6 +384,24 @@ def test_tensor_sum_vanishes_matches_pairwise_evaluation(case):
     ring, terms = case
     raw = [(ring._value(c), f, g) for c, f, g in terms]
     assert tensor_sum_vanishes(SMALL, ring, raw) == naive_vanishes(terms)
+
+
+@pytest.mark.parametrize("ring", TENSOR_RINGS, ids=str)
+def test_tensor_sum_vanishes_on_a_basis_with_an_empty_degree(ring):
+    """A degree with no label, as a free spec whose generators all have
+    degree 2 or more leaves degree 1, is skipped, not divided by."""
+    gappy = GradedBasis([["1"], [], ["x"]])
+    ident = GradedMap.identity(gappy, ring)
+    two = GradedMap(gappy, ring, {"1": ident.images["1"],
+                                  "x": ident.images["x"].scale(ring.embed(2))})
+    one, minus = ring._one, ring._neg(ring._one)
+    cases = [[(one, ident, ident), (minus, ident, ident)],
+             [(one, two, ident), (minus, ident, two)],
+             [(one, two, two), (minus, ident, ident)],
+             [(one, ident, two), (minus, ident, ident)]]
+    for raw in cases:
+        boxed = [(RingElement(ring, c), f, g) for c, f, g in raw]
+        assert tensor_sum_vanishes(gappy, ring, raw) == naive_vanishes(boxed, gappy)
 
 
 def test_tensor_sum_vanishes_on_zero_divisors():

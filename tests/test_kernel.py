@@ -884,7 +884,9 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
             x = g._apply(Element.basis_vector(PACK_BASIS, ring, label))
             for y in (x, g._apply(x)):
                 assert typed(block.apply(y)) == typed(rows.apply(y)) == typed(
-                    g._apply(y))
+                    g(y)) == typed(g._apply(y))
+        # g(y) steps by the block that g keeps exactly when that block packs
+        assert (g._blocks.get(d) is not None) == (block.packed is not None)
         levels = block.spans()
         if levels is None:
             continue
@@ -892,6 +894,10 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
                 for level in itertools.islice(levels, 5)] == [
             [typed(box()) for box in level]
             for level in itertools.islice(rows.spans(), 5)]
+    # an element over several degrees is mapped label by label
+    mixed = Element(PACK_BASIS, ring, {"1": values[0], "x": values[1],
+                                       "p": values[-1]})
+    assert typed(g(mixed)) == typed(g._apply(mixed))
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
