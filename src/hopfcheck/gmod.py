@@ -17,9 +17,11 @@ nonzero (:func:`_dense`): one Kronecker codec, :func:`_kronecker`, packs
 them into integers (the tuples of ``R[q]/(f)`` on two levels) for
 :meth:`GradedMap.compose` and for each step of a nilpotency chain on a
 :class:`DegreeBlock`, whose other blocks step by one ``Ring._dot`` per
-touched row.  Exact linear algebra runs through one elimination,
-:func:`_eliminate`, with row steps chosen once per ring: it finds the
-spanning sets of a block and the kernels of :func:`kernel_vectors`.
+touched row.  A block steps the chains of all its labels at once, level
+by level.  Exact linear algebra runs through one elimination,
+:func:`_eliminate`, with row steps chosen once per ring: it picks the
+vectors of a chain level that span it and finds the kernels of
+:func:`kernel_vectors`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import lshift, mul
 
 from .errors import StructuralError, UnsupportedRingError
@@ -675,14 +677,14 @@ class DegreeBlock:
     runs on integer vectors z_k with g^k(x) = z_k / scale**k, boxed in
     canonical form.
 
-    Over ``Z`` and every field the block also finds, by the exact
-    elimination :func:`_eliminate`, vectors g^k(x_j) that span g^k(H_d)
-    (:meth:`spans`); on every other ring ``steps`` is None and those
-    methods return None.
+    :meth:`levels` steps every label's chain at once, level by level.
+    Over ``Z`` and every field ``steps`` holds the row steps of the exact
+    elimination :func:`_eliminate`, and :meth:`_independent` picks from a
+    level vectors that span it; on every other ring ``steps`` is None.
     """
 
-    __slots__ = ("map", "labels", "index", "rows", "masks", "dense", "packed",
-                 "flat", "top", "scale", "raw", "dot", "zero", "nonzero",
+    __slots__ = ("map", "labels", "index", "rows", "masks", "packed", "flat",
+                 "top", "scale", "raw", "dot", "zero", "one", "nonzero",
                  "steps")
 
     def __init__(self, g: GradedMap, d: int):
@@ -693,7 +695,7 @@ class DegreeBlock:
         images = [g.images[l].coeffs for l in labels]
         self.scale, self.raw, rows = _integer_scaling(
             ring, (c for img in images for c in img.values()))
-        self.dot, self.zero = rows._dot, rows._zero
+        self.dot, self.zero, self.one = rows._dot, rows._zero, rows._one
         self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
         cols = [[] for _ in labels]
@@ -707,11 +709,9 @@ class DegreeBlock:
                 masks[j] |= 1 << i
         self.rows = list(zip(cols, vals))
         self.masks = masks
-        nonzeros = sum(map(len, cols))
-        self.dense = _dense(nonzeros, len(labels))
         # reducing by an f with a non-integer coefficient would leave the
         # integer tuples that a chain over Q[q]/(f) is held in
-        packs = _packs(nonzeros, len(labels)) and (
+        packs = _packs(sum(map(len, cols)), len(labels)) and (
             not isinstance(ring, PolyQuotientRing)
             or all(c.__class__ is int for c in ring.modulus))
         self.packed = (0, None, None) if packs else None
@@ -740,7 +740,7 @@ class DegreeBlock:
         its own denominators."""
         scale, raw, _ = _integer_scaling(self.map.ring, x.coeffs.values())
         y, support = self._step(*self._vector(x.coeffs, raw))
-        return self._boxer(y, support, 1, scale)()
+        return self._boxed(y, support, 1, scale)
 
     def _step(self, y, support):
         """g applied to the raw vector y, nonzero exactly on ``support``;
@@ -752,9 +752,11 @@ class DegreeBlock:
         if self.packed is not None:
             ys, n = [y[j] for j in support], len(y)
             norm = sum(map(abs, self.flat(ys)))
-            codec = _kronecker(n, self.top, norm, self.map.ring)
-            k, pack, _, _ = codec
-            if k > self.packed[0]:  # a wider slot is exact too: keep one
+            # the slot bits of _kronecker: a wider slot is exact too, so a
+            # codec is built only when the kept one is too narrow
+            if (self.top * max(norm, 1)).bit_length() + 1 > 8 * self.packed[0]:
+                codec = _kronecker(n, self.top, norm, self.map.ring)
+                k, pack, _, _ = codec
                 self.packed = k, codec, [pack(self._column(j)[0]) for j in range(n)]
             _, (_, _, unpack, lift), columns = self.packed
             if lift is not None:
@@ -777,29 +779,39 @@ class DegreeBlock:
                 support.append(i)
         return nxt, support
 
-    def chain(self, label: str):
-        """Yield g^k(x) for k = 0, 1, 2, ... on the basis vector x of
-        ``label``, stopping before the first zero.
+    def levels(self):
+        """Yield, for k = 0, 1, 2, ..., the list of ``(j, y, support)`` for
+        the labels x_j with g^k(x_j) != 0, in label order: y is the raw
+        vector of g^k(x_j) (times ``scale**k`` over ``Q`` and ``Q[q]/(f)``)
+        and ``support`` its nonzero positions.
 
-        Each value is a zero-argument function that boxes it into an
-        Element, so a step nobody reads is never boxed.  Step 0 is x and
-        step 1 the stored image; each later step is one :meth:`_step`.
+        Level 0 holds the basis vectors and level 1 the stored images; each
+        later level is one :meth:`_step` of every vector of the level
+        before.  It stops before the first empty level.
         """
-        g = self.map
-        basis, ring = g.basis, g.ring
-        yield lambda: Element.basis_vector(basis, ring, label)
-        image = g.images[label]
-        if image.is_zero():
-            return
-        yield lambda: image
-        y, support = self._column(self.index[label])
-        k = 1
-        while True:
-            y, support = self._step(y, support)
-            if not support:
-                return
-            k += 1
-            yield self._boxer(y, support, k)
+        n = len(self.labels)
+        level = []
+        for j in range(n):
+            y = [self.zero] * n
+            y[j] = self.one
+            level.append((j, y, [j]))
+        if level:
+            yield level
+        level = [(j, *self._column(j)) for j in range(n)]
+        while level := [entry for entry in level if entry[2]]:
+            yield level
+            level = [(j, *self._step(y, support)) for j, y, support in level]
+
+    def box(self, k: int, j: int, y, support) -> Element:
+        """The Element g^k(x_j) of the entry ``(j, y, support)`` of level k
+        of :meth:`levels`: the basis vector at level 0 and the stored image
+        at level 1."""
+        g, label = self.map, self.labels[j]
+        if k == 0:
+            return Element.basis_vector(g.basis, g.ring, label)
+        if k == 1:
+            return g.images[label]
+        return self._boxed(y, support, k)
 
     def _independent(self, vectors):
         """Positions of the raw vectors that lie outside the span of the
@@ -808,74 +820,30 @@ class DegreeBlock:
         reduced = _eliminate(vectors, self.steps, self.zero, len(self.labels))
         return [n for n, rest in enumerate(reduced) if rest is None]
 
-    def spanning_columns(self):
-        """Positions J of labels whose images span g(H_d), the pivot
-        columns of an exact elimination of the block; None on a ring
-        without one here."""
-        if self.steps is None:
-            return None
-        return self._independent(
-            [self._column(j)[0] for j in range(len(self.labels))])
-
-    def spans(self):
-        """Boxers of vectors that span g^k(H_d), for k = 0, 1, 2, ...
-
-        Returns None on a ring without exact elimination, else an iterator
-        of one list per k, stopping before the first k with g^k(H_d) = 0.
-        The list for k = 0 holds every basis vector and the list for k = 1
-        the images of :meth:`spanning_columns`.  Each later list holds the
-        images of the vectors of the list before, less those in the span
-        of the images before them, so its vectors are g^k(x_j) for labels
-        x_j of a shrinking subset of J.
-        """
-        if self.steps is None:
-            return None
-        return self._spans()
-
-    def _spans(self):
-        g, labels = self.map, self.labels
-        if not labels:
-            return
-        yield [lambda l=l: Element.basis_vector(g.basis, g.ring, l)
-               for l in labels]
-        vectors = [self._column(j) for j in self.spanning_columns()]
-        k = 1
-        while vectors:
-            yield [self._boxer(y, support, k) for y, support in vectors]
-            vectors = [self._step(y, support) for y, support in vectors]
-            vectors = [vectors[n] for n in
-                       self._independent([y for y, _ in vectors])]
-            k += 1
-
     def nilpotency_exponent(self):
-        """The least k with g^k(H_d) = 0, or None when no power of g
-        vanishes on H_d or the ring has no exact elimination here.
+        """The least k with g^k(H_d) = 0, the number of nonempty
+        :meth:`levels`; None when no power of g vanishes on H_d or the ring
+        has no exact elimination here.
 
-        It is the number of nonzero spanning sets of :meth:`spans`.  When
-        one is as large as the one before, g is injective on its span and
-        no power of g vanishes.
+        Over ``Z`` and every field a nilpotent g has g^n(H_d) = 0, n the
+        rank of H_d, so a nonempty level n means that none vanishes.
         """
-        levels = self.spans()
-        if levels is None:
+        if self.steps is None:
             return None
-        sizes = []
-        for boxes in levels:
-            if sizes and len(boxes) == sizes[-1]:
-                return None
-            sizes.append(len(boxes))
-        return len(sizes)
+        n = len(self.labels)
+        exponent = sum(1 for _ in islice(self.levels(), n + 1))
+        return None if exponent > n else exponent
 
-    def _boxer(self, y, support, k, scale=1):
-        """The function that boxes step k, stored as y on ``support``,
-        whose start was scaled by ``scale`` as well."""
+    def _boxed(self, y, support, k, scale=1) -> Element:
+        """The Element of step k, stored as y on ``support``, whose start
+        was scaled by ``scale`` as well."""
         g, labels = self.map, self.labels
-        ring = g.ring
         if self.scale is None:
-            return lambda: Element._of(g.basis, ring, {
-                labels[i]: y[i] for i in support})
-        denominator = self.scale ** k * scale
-        return lambda: Element._of(g.basis, ring, {
-            labels[i]: _divided(y[i], denominator) for i in support})
+            coeffs = {labels[i]: y[i] for i in support}
+        else:
+            denominator = self.scale ** k * scale
+            coeffs = {labels[i]: _divided(y[i], denominator) for i in support}
+        return Element._of(g.basis, g.ring, coeffs)
 
 
 class Tensor2Map:

@@ -14,7 +14,9 @@ The suites below specialize to connected presentations with e, f drawn
 from even powers of the antipode.  Every nilpotency claim, in the theorem
 and in its corollaries, says that g^k sends a degree block into a target
 subspace and that g^(k+1) kills it; ``chain_checks`` is the one engine
-that checks such claims, and each suite declares its claims over it.
+that checks such claims, and each suite declares its claims over it.  It
+steps the chains of a whole degree level by level and eliminates only at
+the levels a check reads.
 """
 
 from __future__ import annotations
@@ -163,24 +165,21 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     check whose scope holds no (label, u) compares nothing and is reported
     not-checked.
 
-    Each degree is first decided at once, when its :class:`DegreeBlock`
-    is built.  The exponent-0 steps are tested on every label, and every
-    exponent k >= 1 on the vectors of ``block.spans()``, which span
-    g^k of the degree; since every target is a subspace, the degree passes
-    when they all pass.  Over ``Z`` and every field the spans come from
-    exact elimination.  On the other rings (composite ``Z/m``, ``Z[q]/(f)``,
-    ``Q[q]/(f)`` not declared a field), on a sparse block (under a quarter
-    of its entries nonzero, where the walk is cheaper than the
-    elimination), and when a test fails on the spans, the degree is walked
-    label by label instead.
-
-    The walk follows each label's chain x, g(x), g^2(x), ... on the block
-    only as far as some check still needs it, and boxes y into an Element
-    only for the steps a check reads.  The chain stops at its first zero:
-    a zero y always passes and ``failure`` is never called on one.  The
-    witness is the failure with the least (u, label position), the first
-    one a u-major scan meets.  It names the label, or ``(label, u)`` in
-    filtered scope.
+    Each degree d runs the chains of all its labels at once, level by
+    level (:meth:`DegreeBlock.levels`), for as long as some check still
+    needs a level: level k holds the nonzero g^k(x) and serves every u
+    with u - p + shift = k.  A zero y always passes, and no level holds
+    one.  Where a check reads level k >= 1 over ``Z`` or a field, it tests
+    only the vectors that :meth:`DegreeBlock._independent` keeps, the
+    first basis of the level in label order; elsewhere it tests all of
+    them.  Every vector of the level lies in the span of the kept ones,
+    so the level passes when they do.  A failing level's first failing
+    vector lies outside the span of the passing vectors before it, so it
+    is kept: the first kept vector that fails is the level's first
+    failing label.  Levels run in order of u, so the witness is the
+    failure with the least (u, label position).  It names the label, or
+    ``(label, u)`` in filtered scope.  The tested vectors of a level are
+    boxed into Elements once, for every check that reads the level.
     """
     require_positive_p(p)
     basis = g.basis
@@ -190,38 +189,39 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
     witness = [None] * len(checks)
     lowest = 0 if filtered else min(check[2] for check in checks)
     for d in range(lowest, top + 1):
-        block = None
-        for label in basis.labels_of_degree(d):
-            # per check still open on this degree: the range of u left to test
-            todo = {}
-            for i, (_, _, first_u, shift, failure) in enumerate(checks):
-                lo, hi = max(first_u, d), min(top if filtered else d,
-                                              failed_u[i] - 1)
-                if lo <= hi:
-                    todo[i] = (lo, hi, shift, failure)
+        # per check still open on degree d: the levels k = u - p + shift of
+        # the u left to test
+        todo = {}
+        for i, (_, _, first_u, shift, _) in enumerate(checks):
+            lo, hi = max(first_u, d), min(top if filtered else d,
+                                          failed_u[i] - 1)
+            if lo <= hi:
+                todo[i] = (lo - p + shift, hi - p + shift)
+        if not todo:
+            continue
+        block = DegreeBlock(g, d)
+        for k, level in enumerate(block.levels()):
+            tested = None
+            for i, (first, last) in list(todo.items()):
+                if k < first:
+                    continue
+                if tested is None:
+                    tested = (range(len(level)) if k == 0 or block.steps is None
+                              else block._independent([y for _, y, _ in level]))
+                    boxes = {n: block.box(k, *level[n]) for n in tested}
+                _, _, _, shift, failure = checks[i]
+                bad = next(((n, value) for n in tested
+                            if (value := failure(boxes[n])) is not None), None)
+                if bad is not None:
+                    n, value = bad
+                    label, u = block.labels[level[n][0]], k + p - shift
+                    failed_u[i] = u
+                    witness[i] = witness_of((label, u) if filtered else label,
+                                            value)
+                if bad is not None or k == last:
+                    del todo[i]
             if not todo:
                 break
-            if block is None:
-                block = DegreeBlock(g, d)
-                if _holds_on_spans(block, p, todo.values()):
-                    break
-            for k, box in enumerate(block.chain(label)):
-                y = None
-                for i, (lo, hi, shift, failure) in list(todo.items()):
-                    u = k + p - shift
-                    if u < lo:
-                        continue
-                    if y is None:
-                        y = box()
-                    value = failure(y)
-                    if value is not None:
-                        failed_u[i] = u
-                        witness[i] = witness_of(
-                            (label, u) if filtered else label, value)
-                    if value is not None or u == hi:
-                        del todo[i]
-                if not todo:
-                    break
     for (claim, statement, first_u, _, _), bad in zip(checks, witness):
         if first_u > top or not basis.labels_between(
                 0 if filtered else first_u, top):
@@ -231,28 +231,6 @@ def chain_checks(rep: Report, g: GradedMap, p: int, checks, *,
                     f"for {first_u} <= u <= {top}")
         else:
             rep.add(claim, statement, FAIL if bad else PASS, bad)
-
-
-def _holds_on_spans(block: DegreeBlock, p: int, todo) -> bool:
-    """Whether every check in ``todo`` (tuples ``(lo, hi, shift,
-    failure)``) passes on the vectors of ``block.spans()``, each at the
-    exponent k = u - p + shift of every u in lo..hi; False at the first
-    failure, on a ring without spans and on a sparse block."""
-    levels = block.spans()
-    if levels is None or not block.dense:
-        return False
-    last = max(hi - p + shift for _, hi, shift, _ in todo)
-    for k, boxes in enumerate(levels):
-        tests = [failure for lo, hi, shift, failure in todo
-                 if lo <= k + p - shift <= hi]
-        if tests:
-            for box in boxes:
-                y = box()
-                if any(failure(y) is not None for failure in tests):
-                    return False
-        if k == last:
-            break
-    return True
 
 
 def verify_conclusions(I: PreCoalgebraInstance) -> Report:
@@ -367,7 +345,7 @@ def _non_primitive(H: HopfPresentation):
 
 
 def _antipode_chain_map(H: HopfPresentation):
-    """g = id - S^2, whose chains the antipode suites walk."""
+    """g = id - S^2, whose chains the antipode suites check."""
     return GradedMap.identity(H.basis, H.ring) - H.antipode_squared()
 
 

@@ -4,8 +4,8 @@ Each reference below computes with boxed ``RingElement`` arithmetic, one
 ``+`` and ``*`` at a time, the way the engine did before the kernels; the
 kernel-backed operations, whose elements hold raw values, must return
 exactly the same coefficients, read boxed through ``coeff``.
-The chain engine's degree-block walk is checked against the per-label
-engine it replaced, which applies the map with ``GradedMap.__call__``.
+The chain engine's level-by-level steps are checked against a per-label
+engine, which applies the map with ``GradedMap.__call__``.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
-                            Tensor2Element, Tensor2Map, kernel_vectors)
+                            Tensor2Element, Tensor2Map, _dense, kernel_vectors)
 from hopfcheck.hopf import HopfPresentation
 from hopfcheck.reduced import reduced_coproduct_label
 from hopfcheck.report import FAIL, PASS, Report, witness_of
@@ -39,7 +39,8 @@ ids = [repr(r) for r in RINGS]
 # every ring kind, with a quotient over each base
 ALL_RINGS = RINGS + [QFIELD, QQ_Q]
 all_ids = [repr(r) for r in ALL_RINGS]
-# the rings without exact elimination, where the chains walk every label
+# the rings without exact elimination, where a chain level is tested on
+# every label
 PER_LABEL_RINGS = [ModRing(6), ZQ3, QQ_Q]
 
 B = GradedBasis([["u"], ["x", "y"], ["xx", "xy", "yx", "yy"]])
@@ -525,7 +526,7 @@ def test_dot_of_empty_and_negative_inputs(ring):
     assert ring._dot(a, b) == ring.embed(-15).value
 
 
-# --- the degree-block chain walk ----------------------------------------------
+# --- the chain levels of a degree block ---------------------------------------
 
 WALK_BASIS = GradedBasis([["u"], ["x", "y"], ["x2", "y2", "z2", "w2"],
                           ["a3", "b3", "c3", "d3", "e3"]])
@@ -568,7 +569,8 @@ def random_map(ring, kind, seed):
 
 
 def reference_chain_checks(rep, g, p, checks, filtered=False):
-    """The per-label engine the block walk replaced: each step is g(y)."""
+    """A per-label engine: each label's chain is walked on its own, each
+    step g(y), and every step in scope is tested."""
     basis, top = g.basis, g.basis.max_degree
     failed_u = [top + 1] * len(checks)
     witness = [None] * len(checks)
@@ -632,12 +634,20 @@ def test_block_walk_matches_per_label_engine(ring, kind, filtered):
             runs.append((rep.to_dict(), calls))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1], "no check read a chain"
-        # over Z, Q and Z/5 a degree is first tested on its spans, so the
-        # checks are called in the reference's order only where every
-        # degree is walked label by label
-        assert (DegreeBlock(g, 0).spans() is None) == (ring in PER_LABEL_RINGS)
-        if ring in PER_LABEL_RINGS:
-            assert runs[0][1] == runs[1][1]
+        # the engine tests only chain values that the reference tests too
+        assert all(call in runs[1][1] for call in runs[0][1])
+
+
+def block_chain(block, label, steps):
+    """g^k(x) on the basis vector x of ``label`` for k < ``steps``, boxed
+    from the block's levels up to the first zero."""
+    walked = []
+    for k, level in enumerate(itertools.islice(block.levels(), steps)):
+        entry = next((e for e in level if block.labels[e[0]] == label), None)
+        if entry is None:
+            break
+        walked.append(block.box(k, *entry))
+    return walked
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "nilpotent"])
@@ -648,8 +658,11 @@ def test_block_chain_is_the_iterated_map(ring, kind):
         block = DegreeBlock(g, d)
         if ring is QQ and d >= 2:
             assert block.scale > 1
+        for level in itertools.islice(block.levels(), 5):
+            positions = [j for j, _, _ in level]
+            assert level and positions == sorted(set(positions))
         for label in WALK_BASIS.labels_of_degree(d):
-            walked = [box() for box in itertools.islice(block.chain(label), 5)]
+            walked = block_chain(block, label, 5)
             expected = [Element.basis_vector(WALK_BASIS, ring, label)]
             while len(expected) < 5 and not expected[-1].is_zero():
                 expected.append(g(expected[-1]))
@@ -658,7 +671,7 @@ def test_block_chain_is_the_iterated_map(ring, kind):
             assert walked == expected
 
 
-# --- spans of a degree block ------------------------------------------------
+# --- the vectors of a chain level that the engine tests ---------------------
 
 SPAN_RINGS = [ZZ, QQ, ModRing(5), QFIELD]
 KINDS = ["dense", "deficient", "zero", "nilpotent"]
@@ -671,6 +684,19 @@ def brute_rank(ring, vectors):
     columns = {n: {l: field.element(v.coeff(l).value) for l in v.coeffs}
                for n, v in enumerate(vectors)}
     return len(vectors) - len(naive_kernel_vectors(columns, columns, field))
+
+
+def kept(block, level):
+    """The entries of a level of ``block.levels()`` that
+    ``_independent`` keeps: those the chain engine tests."""
+    return [level[n] for n in block._independent([y for _, y, _ in level])]
+
+
+def spanning_columns(block):
+    """The positions of the labels whose images the engine tests at level
+    1: the kept columns of the block."""
+    level = next(itertools.islice(block.levels(), 1, None), [])
+    return [j for j, _, _ in kept(block, level)]
 
 
 def brute_powers(g, label, k):
@@ -690,7 +716,7 @@ def test_spanning_columns_are_a_basis_of_the_image(ring, kind):
         block = DegreeBlock(g, d)
         scales.append(block.scale or 1)
         images = [g.images[l] for l in block.labels]
-        J = block.spanning_columns()
+        J = spanning_columns(block)
         rank = brute_rank(ring, images)
         spanning = [images[j] for j in J]
         assert len(J) == rank == brute_rank(ring, spanning)
@@ -720,11 +746,13 @@ def test_spans_are_bases_of_every_power(ring, kind):
     for d in range(WALK_BASIS.max_degree + 1):
         block = DegreeBlock(g, d)
         labels = block.labels
-        levels = list(itertools.islice(block.spans(), len(labels) + 2))
+        levels = [[block.box(k, *entry) for entry in kept(block, level)]
+                  for k, level in enumerate(
+                      itertools.islice(block.levels(), len(labels) + 2))]
         for k in range(len(labels) + 2):
             powers = [brute_powers(g, l, k) for l in labels]
             rank = brute_rank(ring, powers)
-            level = [box() for box in levels[k]] if k < len(levels) else []
+            level = levels[k] if k < len(levels) else []
             assert len(level) == rank == brute_rank(ring, level)
             assert all(y in powers and not y.is_zero() for y in level)
             for y in powers:
@@ -747,7 +775,7 @@ def test_spanning_columns_complement_the_kernel_leads(ring, data):
     raw = {k: {r: field._value(v.value) for r, v in column.items()}
            for k, column in columns.items()}
     leads = {next(iter(vec)) for vec in kernel_vectors(raw, keys, field)}
-    assert DegreeBlock(g, 1).spanning_columns() == [
+    assert spanning_columns(DegreeBlock(g, 1)) == [
         j for j, k in enumerate(keys) if k not in leads]
 
 
@@ -784,13 +812,13 @@ def test_nilpotency_exponent_matches_iterated_map(ring, kind):
 def test_nilpotency_exponent_of_an_empty_degree_is_zero():
     B = GradedBasis([["1"], [], ["x"]])
     block = DegreeBlock(GradedMap.zero(B, ZZ), 1)
-    assert block.spanning_columns() == []
+    assert list(block.levels()) == []
     assert block.nilpotency_exponent() == 0
 
 
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
 def test_witness_outside_the_spanning_columns(ring):
-    # g(y) = g(x) and g(z) = 2 g(x), so neither is a spanning column of
+    # g(y) = g(x) and g(z) = 2 g(x), so neither is a kept column of
     # degree 1, and z is the only label that fails: its exponent-0 step
     # y = z has a z term
     B = GradedBasis([["1"], ["x", "y", "z"], ["v", "w"]])
@@ -800,7 +828,7 @@ def test_witness_outside_the_spanning_columns(ring):
     g = GradedMap(B, ring, {"1": zero, "x": x_plus_y, "y": x_plus_y,
                             "z": x_plus_y.scale(ring.embed(2)),
                             "v": vec("w"), "w": zero})
-    assert DegreeBlock(g, 1).spanning_columns() == [0]
+    assert spanning_columns(DegreeBlock(g, 1)) == [0]
     seen = []
 
     def failure(y):
@@ -812,8 +840,10 @@ def test_witness_outside_the_spanning_columns(ring):
     one = ring.format_value(ring._one)
     assert [(c.status, c.witness) for c in rep.checks] == [
         (FAIL, f"'z' -> {one}*z")]
-    # degree 1 is tested on its spans first, then walked label by label
-    assert seen == [vec("x"), vec("y"), vec("z")] * 2
+    # level 0 of degree 1, the basis vectors, is tested in label order up
+    # to the failure; nothing of degree 2 is tested once u = 1 failed
+    assert seen == [vec("x"), vec("y"), vec("z")]
+    assert not any(y.is_zero() for y in seen)
 
 
 # --- the packed step of a dense block ---------------------------------------
@@ -858,8 +888,8 @@ PACKED_RINGS = [
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_the_row_reference(ring, entries, data):
-    """On dense blocks the chains are the iterated map, and every level of
-    the spans is the one that the row step finds."""
+    """On dense blocks the chains are the iterated map, and every chain
+    level is the one that the row step finds."""
     values = data.draw(st.lists(entries, min_size=len(PACK_CELLS),
                                 max_size=len(PACK_CELLS)))
     images = {l: {} for l in PACK_BASIS.labels}
@@ -870,10 +900,11 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
     for d, labels in enumerate(PACK_BASIS.degrees):
         block, rows = DegreeBlock(g, d), row_reference(g, d)
         n = len(labels)
-        assert (block.packed is not None) == (block.dense and n >= 3)
+        nonzeros = sum(len(g.images[l].coeffs) for l in labels)
+        assert (block.packed is not None) == (_dense(nonzeros, n) and n >= 3)
         assert block._step([block.zero] * n, []) == ([block.zero] * n, [])
         for label in labels:
-            walked = [typed(box()) for box in itertools.islice(block.chain(label), 6)]
+            walked = [typed(y) for y in block_chain(block, label, 6)]
             expected = [Element.basis_vector(PACK_BASIS, ring, label)]
             while len(expected) < 6 and not expected[-1].is_zero():
                 expected.append(g._apply(expected[-1]))
@@ -887,13 +918,10 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
                     g(y)) == typed(g._apply(y))
         # g(y) steps by the block that g keeps exactly when that block packs
         assert (g._blocks.get(d) is not None) == (block.packed is not None)
-        levels = block.spans()
-        if levels is None:
-            continue
-        assert [[typed(box()) for box in level]
-                for level in itertools.islice(levels, 5)] == [
-            [typed(box()) for box in level]
-            for level in itertools.islice(rows.spans(), 5)]
+        assert [[(j, typed(block.box(k, j, y, s))) for j, y, s in level]
+                for k, level in enumerate(itertools.islice(block.levels(), 5))] == [
+            [(j, typed(rows.box(k, j, y, s))) for j, y, s in level]
+            for k, level in enumerate(itertools.islice(rows.levels(), 5))]
     # an element over several degrees is mapped label by label
     mixed = Element(PACK_BASIS, ring, {"1": values[0], "x": values[1],
                                        "p": values[-1]})
@@ -904,28 +932,28 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
 def test_sparse_and_tuple_blocks_step_by_rows(ring):
     """A block under a quarter nonzero, and a dense block over a quotient
     whose modulus has a non-integer coefficient, keeps the row step; an
-    empty degree has no spans."""
+    empty degree has no chain levels."""
     vec = lambda l, c: Element(PACK_BASIS, ring, {l: c})
     zero = Element.zero(PACK_BASIS, ring)
     images = {l: zero for l in PACK_BASIS.labels}
     images.update(p=vec("q", 3), q=vec("r", 3), r=vec("p", 2))
     g = GradedMap(PACK_BASIS, ring, images)
     block = DegreeBlock(g, 3)
-    assert not block.dense and block.packed is None
+    assert not _dense(sum(len(g.images[l].coeffs) for l in block.labels), 5)
+    assert block.packed is None
     y = Element.basis_vector(PACK_BASIS, ring, "p")
-    for box in itertools.islice(block.chain("p"), 5):
-        assert typed(box()) == typed(y)
+    walked = block_chain(block, "p", 5)
+    for x in walked:
+        assert typed(x) == typed(y)
         y = g._apply(y)
+    assert len(walked) == 5 or y.is_zero()
     dense = GradedMap(PACK_BASIS, QHALF, {
         l: Element(PACK_BASIS, QHALF, {m: QHALF.element([1, 1]) for m in labels})
         for labels in PACK_BASIS.degrees for l in labels})
     tuple_block = DegreeBlock(dense, 3)
-    assert tuple_block.dense and tuple_block.packed is None
-    levels = DegreeBlock(g, 1).spans()
-    if ring in PER_LABEL_RINGS:
-        assert levels is None
-    else:
-        assert list(levels) == []
+    assert _dense(sum(len(dense.images[l].coeffs) for l in tuple_block.labels), 5)
+    assert tuple_block.packed is None
+    assert list(DegreeBlock(g, 1).levels()) == []
 
 
 def difference_block():

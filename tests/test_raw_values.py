@@ -65,12 +65,9 @@ def test_elements_hold_canonical_raw_values(name, ring):
     for f in (g, g.scale(c)):
         for d in range(H.max_degree + 1):
             block = DegreeBlock(f, d)
-            for label in block.labels:
-                for box in itertools.islice(block.chain(label), 4):
-                    raw(box())
-            for level in block.spans() or ():
-                for box in level:
-                    raw(box())
+            for k, level in enumerate(itertools.islice(block.levels(), 4)):
+                for entry in level:
+                    raw(block.box(k, *entry))
 
     if ring.is_field:
         columns = {l: reduced_coproduct_label(H, l).coeffs for l in labels}
@@ -106,7 +103,8 @@ def test_scaled_block_steps_return_to_ints():
                           "y": vector("x", Fraction(1, 2))})
     block = DegreeBlock(g, 1)
     assert block.scale == 2
-    steps = [box().coeffs for box in itertools.islice(block.chain("x"), 5)]
+    steps = [block.box(k, *level[0]).coeffs
+             for k, level in enumerate(itertools.islice(block.levels(), 5))]
     assert steps == [{"x": 1}, {"y": 2}, {"x": 1}, {"y": 2}, {"x": 1}]
     for coeffs in steps:
         assert_raw(QQ, coeffs)

@@ -117,8 +117,8 @@ def test_chain_engine_witness_order_and_zero_stop():
     # of 'a' fails only at u = 3 (4a); the later label 'b' fails at u = 2
     # (3b).
     # A u-major scan meets ('b', 2) first, a label-major one ('a', 3).
-    # "y in flagged" is no subspace, so the ring is Z/6, where the chains
-    # walk every label and never take the spans of a degree block.
+    # "y in flagged" is no subspace, so the ring is Z/6, which has no exact
+    # elimination: every vector of a level is tested.
     R = ModRing(6)
     B = GradedBasis([["1"], ["a", "c"], ["b"], ["d"]])
     vec = lambda l: Element.basis_vector(B, R, l)
@@ -139,12 +139,12 @@ def test_chain_engine_witness_order_and_zero_stop():
     (check,) = rep.checks
     assert check.status == "fail"
     assert check.witness.startswith("('b', 2) -> ")
-    # chains of '1' and 'c' reach zero after one step: failure is never
-    # called on zero, and no label is tested at u = 3 or later once ('b', 2)
-    # failed, so 'd' is never tested
-    assert seen == [vec("1"), vec("a"), vec("a").scale(R.embed(2)),
-                    vec("a").scale(R.embed(4)), vec("c"),
-                    vec("b").scale(R.embed(3))]
+    # each degree is tested level by level.  Chains of '1' and 'c' reach
+    # zero after one step: failure is never called on zero, and no label
+    # is tested at u = 3 or later once ('b', 2) failed, so 'd' is never
+    # tested
+    assert seen == [vec("1"), vec("a"), vec("c"), vec("a").scale(R.embed(2)),
+                    vec("a").scale(R.embed(4)), vec("b").scale(R.embed(3))]
     assert not any(y.is_zero() for y in seen)
 
 
@@ -173,9 +173,11 @@ def test_chain_engine_witness_order_on_spans():
     (check,) = rep.checks
     assert check.status == "fail"
     assert check.witness == "('c', 2) -> 2*t"
-    # degree 1 is first tested on the span {c, 2t} of g(H_1), where 2t
-    # fails; then its labels are walked: 'a' to u = 3, 'c' at u = 2
-    assert seen == [vec("c"), two_t, vec("c"), two_t, two_t]
+    # level 1 of degree 1 is c, 2t, t; t lies in the span of 2t, so only
+    # c and 2t are tested, and 2t, the first failure, names 'c'.  Nothing
+    # is tested at u = 2 or later after that
+    assert seen == [vec("c"), two_t]
+    assert not any(y.is_zero() for y in seen)
 
 
 def test_exponent_sharpness_at_degree_two(abc):
