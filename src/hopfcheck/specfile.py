@@ -322,13 +322,16 @@ class _Parser:
             counit0[label] = value
         has_overflow = any(basis.degree_of(l1) + basis.degree_of(l2) > self.maxdeg
                            for (l1, l2) in products)
-        return HopfPresentation(
+        H = HopfPresentation(
             name, basis, ring,
             lambda l1, l2: products.get((l1, l2)),
             lambda l: coproducts[l],
             counit0, self.unit,
             antipode_rule=(antipode.get if antipode else None),
             product_total=has_overflow)
+        # checked above, with line numbers: the first read checks nothing again
+        H._product_cache, H._coproduct_cache = products, coproducts
+        return H
 
 
 def parse_presentation(text: str) -> HopfPresentation:

@@ -311,3 +311,44 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("overall: PASS\n")
+
+
+# --- structure-table reads ---------------------------------------------------
+
+# the benchmark's four invocations, with the distinct product and coproduct
+# entries each reads through product_of_labels / coproduct_of_label
+TABLE_READS = {
+    "fqsym-chains": (("--algebra", "fqsym", "--ring", "Z", "--maxdeg", "5",
+                      "--suite", "graded-hopf"), 0, 246, 153),
+    "abc-spec": (("--suite", "bialgebra", "--suite", "oracle-agreement",
+                  "--suite", "lowered-exponent", "--p", "2"), 2, 1622, 288),
+    "tensor-kernels": (("--algebra", "tensor", "--rank", "2", "--ring", "Q",
+                        "--maxdeg", "6", "--suite", "reduced", "--suite",
+                        "theorem1", "--seed", "1"), 0, 705, 127),
+    "binomial-qring": (("--algebra", "abc", "--ring", "Z[q]/(1,1,1)",
+                        "--maxdeg", "4", "--suite", "binomial-identity"),
+                       0, 165, 49),
+}
+
+
+@pytest.mark.parametrize("workload", TABLE_READS)
+def test_structure_table_reads_are_pinned(workload, tmp_path, monkeypatch,
+                                          capsys):
+    """Table rows are filled on first read, so a run evaluates only the
+    entries its checks need: filling every pair of total degree <= 5 would
+    evaluate 400 fqsym shuffle products, not 246."""
+    args, exit_code, products, coproducts = TABLE_READS[workload]
+    if workload == "abc-spec":
+        spec = tmp_path / "abc6.hspec"
+        assert run(capsys, "export", "--algebra", "abc", "--ring", "Z/5",
+                   "--maxdeg", "6", "--out", str(spec))[0] == 0
+        args = ("--spec", str(spec)) + args
+    read = {"product_of_labels": set(), "coproduct_of_label": set()}
+    for name, keys in read.items():
+        def probe(self, *labels, fn=getattr(HopfPresentation, name), keys=keys):
+            keys.add((id(self), labels))
+            return fn(self, *labels)
+        monkeypatch.setattr(HopfPresentation, name, probe)
+    assert run(capsys, "verify", *args)[0] == exit_code
+    assert (len(read["product_of_labels"]),
+            len(read["coproduct_of_label"])) == (products, coproducts)

@@ -133,6 +133,31 @@ def naive_coassociative(H, label):
     return left == right
 
 
+def naive_multiplicative_failure(H, pair):
+    """The witness of coproduct(x*y) = coproduct(x)*coproduct(y) on a
+    failing pair (x, y): the difference of the two sides, or None."""
+    lhs = naive_coproduct(H, H.product_of_labels(*pair))
+    rhs = naive_t2_product(H, *map(H.coproduct_of_label, pair))
+    diff = naive_sum(H.ring, itertools.chain(
+        lhs.items(), ((k, -v) for k, v in rhs.items())))
+    return diff and witness_of(pair, Tensor2Element(H.basis, H.ring, diff))
+
+
+def naive_convolution_failure(H, f, g):
+    """The first label on which m o (f(x)g) o coproduct = unit o counit
+    fails, for maps f and g given by their boxed images, or None."""
+    for label in H.basis.labels:
+        t = naive_sum(H.ring, (((k1, k2), c * v * w)
+                               for (a, b), c in boxed(H.coproduct_of_label(label)).items()
+                               for k1, v in f[a].items() for k2, w in g[b].items()))
+        got = naive_sum(H.ring, ((k, c * v) for pair, c in t.items()
+                                 for k, v in boxed(H.product_of_labels(*pair)).items()))
+        counit = H.counit_of_label(label)
+        if got != ({H.unit_label: counit} if counit != H.ring.zero else {}):
+            return label
+    return None
+
+
 def naive_antipode(H, right):
     """The images of the left (right) antipode recursion, label by label in
     basis order: S(x) = -sum c S(x1) x2 over deg x1 < deg x, or
@@ -274,12 +299,29 @@ def test_hopf_product_and_t2_product(ring, data):
     s = Tensor2Element(H.basis, ring, data.draw(sparse(ring, pairs)))
     t = Tensor2Element(H.basis, ring, data.draw(sparse(ring, pairs)))
     assert boxed(H.t2_product(s, t)) == naive_t2_product(H, s, t)
-    # coassociativity, coproducts and both antipode recursions, on shuffle
-    # (whose product rows are not monomials) and abc, each with one drawn
-    # product entry and one drawn coproduct entry changed
+
+
+@pytest.mark.parametrize("ring", RINGS + [QQ_Q], ids=ids + [repr(QQ_Q)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_index_keyed_rows_match_label_keyed_references(ring, data):
+    """Every sum over the index-keyed table rows against a boxed reference
+    over labels, on shuffle (whose product rows are not monomials) and abc,
+    each with one drawn product entry and one drawn coproduct entry changed,
+    so that the axioms can fail."""
     for base in (_shuffle(ring), _abc(ring)):
         P = perturbed(base, data)
-        labels = list(P.basis.labels)
+        labels, top = list(P.basis.labels), P.max_degree
+        d = data.draw(st.integers(0, top))
+        low, high = P.basis.labels_up_to(d), P.basis.labels_up_to(top - d)
+        x = Element(P.basis, ring, data.draw(sparse(ring, low)))
+        y = Element(P.basis, ring, data.draw(sparse(ring, high)))
+        assert boxed(P.product(x, y)) == naive_product(P, x, y)
+        s = Tensor2Element(P.basis, ring, data.draw(sparse(ring, [
+            (a, b) for a in low for b in low])))
+        t = Tensor2Element(P.basis, ring, data.draw(sparse(ring, [
+            (a, b) for a in high for b in high])))
+        assert boxed(P.t2_product(s, t)) == naive_t2_product(P, s, t)
         for label in labels:
             assert P.coassociative_on(label) == naive_coassociative(P, label)
         label = data.draw(st.sampled_from(labels))
@@ -288,8 +330,23 @@ def test_hopf_product_and_t2_product(ring, data):
         for x in (Element(P.basis, ring, {label: c}),
                   Element(P.basis, ring, data.draw(sparse(ring, labels)))):
             assert boxed(P.coproduct(x)) == naive_coproduct(P, x)
+        pairs = [(x, y) for d in range(top + 1) for x in P.basis.labels_of_degree(d)
+                 for y in P.basis.labels_up_to(top - d)]
+        witness = next(filter(None, (naive_multiplicative_failure(P, pair)
+                                     for pair in pairs)), None)
+        check = {c.claim: c for c in P.verify_bialgebra().checks}[
+            "coproduct-multiplicative"]
+        assert (check.status, check.witness) == (
+            (PASS, None) if witness is None else (FAIL, witness))
+        ident = {l: {l: ring.one} for l in labels}
         for right, S in ((False, P.antipode()), (True, P.antipode_oracle())):
-            assert {l: boxed(S.images[l]) for l in labels} == naive_antipode(P, right)
+            images = {l: boxed(S.images[l]) for l in labels}
+            assert images == naive_antipode(P, right)
+            checks = P.verify_antipode_axioms(S).checks
+            for check, (f, g) in zip(checks, ((images, ident), (ident, images))):
+                label = naive_convolution_failure(P, f, g)
+                assert (check.status, check.witness) == (
+                    (PASS, None) if label is None else (FAIL, witness_of(label)))
 
 
 _SHUFFLES, _ABCS = {}, {}
@@ -353,14 +410,6 @@ def test_bialgebra_first_failures_match_the_boxed_sides(plant):
     lines[hit] = lines[hit].replace(old, new, 1)
     H = parse_presentation("".join(lines))
     checks = {c.claim: c for c in H.verify_bialgebra().checks}
-
-    def multiplicative_failure(pair):
-        lhs = naive_coproduct(H, H.product_of_labels(*pair))
-        rhs = naive_t2_product(H, *map(H.coproduct_of_label, pair))
-        diff = naive_sum(H.ring, itertools.chain(
-            lhs.items(), ((k, -v) for k, v in rhs.items())))
-        return diff and witness_of(pair, Tensor2Element(H.basis, H.ring, diff))
-
     n = H.max_degree
     pairs = [(x, y) for d in range(n + 1) for x in H.basis.labels_of_degree(d)
              for y in H.basis.labels_up_to(n - d)]
@@ -368,7 +417,8 @@ def test_bialgebra_first_failures_match_the_boxed_sides(plant):
         "coassociativity": next((witness_of(l) for l in H.basis.labels
                                  if not naive_coassociative(H, l)), None),
         "coproduct-multiplicative":
-            next(filter(None, map(multiplicative_failure, pairs)), None)}
+            next(filter(None, (naive_multiplicative_failure(H, pair)
+                               for pair in pairs)), None)}
     assert expected["coproduct-multiplicative"] is not None
     assert (expected["coassociativity"] is None) == (plant == "product")
     for claim, witness in expected.items():
