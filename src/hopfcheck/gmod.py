@@ -12,15 +12,20 @@ whether a sum of such pairs is the zero operator.
 
 Coefficient arithmetic on these dicts runs through one accumulator,
 :func:`_accumulate`, but in the structure-constant loops of ``hopf.py``,
-which sum table rows into one raw-value dict, and on blocks a quarter
-nonzero (:func:`_dense`): one Kronecker codec, :func:`_kronecker`, packs
-them into integers (the tuples of ``R[q]/(f)`` on two levels) for
-:meth:`GradedMap.compose` and for each step of a nilpotency chain on a
-:class:`DegreeBlock`, whose other blocks step by one ``Ring._dot`` per
-touched row.  A block steps the chains of all its labels at once, level
-by level.  Exact linear algebra runs through one elimination,
-:func:`_eliminate`, with row steps chosen once per ring: it picks the
-vectors of a chain level that span it and finds the kernels of
+which sum table rows into one raw-value dict, and on degree blocks.  A
+map keeps one :class:`DegreeBlock` per degree (:meth:`GradedMap.block`),
+and every application of the map to a degree's vectors goes through it:
+:meth:`GradedMap.compose` over the other map's images as one batch,
+:meth:`GradedMap.__call__` as a batch of one, and each level of the
+nilpotency chains, which a block steps for all its labels at once.  On a
+block a quarter nonzero (:func:`_packs`) a batch is one
+:meth:`DegreeBlock._step` through one Kronecker codec,
+:func:`_kronecker`, that packs the block's columns into integers (the
+tuples of ``R[q]/(f)`` on two levels); on the others ``compose`` and
+``__call__`` accumulate label by label and a chain step makes one
+``Ring._dot`` per touched row.  Exact linear algebra runs through one
+elimination, :func:`_eliminate`, with row steps chosen once per ring: it
+picks the vectors of a chain level that span it and finds the kernels of
 :func:`kernel_vectors`.
 """
 
@@ -31,13 +36,14 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import lshift, mul
+from operator import attrgetter, lshift, mul
 
 from .errors import StructuralError, UnsupportedRingError
 from .rings import (ZZ, IntegerRing, ModRing, PolyQuotientRing, RationalRing,
                     Ring, RingElement, _rational)
 
 _WORDS = {struct.calcsize(code): code for code in "BHIQ"}  # unsigned, by size
+_DENOMINATOR = attrgetter("denominator")
 
 
 class GradedBasis:
@@ -264,7 +270,7 @@ class GradedMap:
         self.basis = basis
         self.ring = ring
         self.images = images
-        self._blocks = {}  # degree -> its packed DegreeBlock, or None
+        self._blocks = {}  # degree -> its DegreeBlock (:meth:`block`)
         for label, img in images.items():
             _check_ring(ring, img)
             bound = basis.degree_of(label)
@@ -289,28 +295,24 @@ class GradedMap:
             raise StructuralError("maps over different modules")
 
     def __call__(self, x: Element) -> Element:
-        """self(x): by one packed step of the :class:`DegreeBlock` of x's
-        degree when x is homogeneous and that block :func:`_packs`, else
-        label by label."""
+        """self(x): as a batch of one of the :meth:`block` of x's degree
+        when x is homogeneous and nonzero, else label by label."""
         if not _same_module(x, self):
             raise StructuralError("argument from a different module")
-        block = self._block_of(x)
-        return self._apply(x) if block is None else block.apply(x)
+        basis = self.basis
+        if x.coeffs:
+            d = basis._degree_of[next(iter(x.coeffs))]
+            if x.coeffs.keys() <= basis._label_sets[d]:
+                return self.block(d).mapped([x])[0]
+        return self._apply(x)
 
-    def _block_of(self, x: Element):
-        """The packed block of the degree of x, built on first use and
-        kept; None when x is zero or not homogeneous, or the block does not
-        pack."""
-        if not x.coeffs:
-            return None
-        basis, blocks = self.basis, self._blocks
-        d = basis._degree_of[next(iter(x.coeffs))]
-        if d not in blocks:
-            labels = basis.degrees[d]
-            nonzeros = sum(len(self.images[l].coeffs) for l in labels)
-            block = DegreeBlock(self, d) if _packs(nonzeros, len(labels)) else None
-            blocks[d] = None if block is None or block.packed is None else block
-        return blocks[d] if x.coeffs.keys() <= basis._label_sets[d] else None
+    def block(self, d: int) -> "DegreeBlock":
+        """The :class:`DegreeBlock` of degree d, built on first use and
+        kept, so every application of the map on that degree shares it."""
+        block = self._blocks.get(d)
+        if block is None:
+            block = self._blocks[d] = DegreeBlock(self, d)
+        return block
 
     def _apply(self, x: Element) -> Element:
         images = self.images
@@ -324,17 +326,18 @@ class GradedMap:
                    for l, img in self.images.items())
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other, by blocks (:func:`_packed_product`) or labels;
-        the other factor itself when one factor is the identity."""
+        """self after other, one batch of the other's images per degree
+        (:meth:`DegreeBlock.mapped`); the other factor itself when one
+        factor is the identity."""
         self._check(other)
         if self._is_identity():
             return other
         if other._is_identity():
             return self
         images = {}
-        for labels in self.basis.degrees:
-            images.update(_packed_product(self, other, labels) or
-                          {l: self._apply(other.images[l]) for l in labels})
+        for d, labels in enumerate(self.basis.degrees):
+            images.update(zip(labels, self.block(d).mapped(
+                [other.images[l] for l in labels])))
         return GradedMap(self.basis, self.ring, images)
 
     def __add__(self, other, c=None):
@@ -429,23 +432,13 @@ def _integer_scaling(ring: Ring, values):
     identity.  :func:`_divided` undoes the scaling.
     """
     if isinstance(ring, RationalRing):
-        scale = math.lcm(1, *(v.denominator for v in values))
+        scale = math.lcm(1, *map(_DENOMINATOR, values))
         return scale, lambda v: v.numerator * (scale // v.denominator), ZZ
     if isinstance(ring, PolyQuotientRing) and isinstance(ring.base, RationalRing):
-        scale = math.lcm(1, *(c.denominator for v in values for c in v))
+        scale = math.lcm(1, *map(_DENOMINATOR, chain.from_iterable(values)))
         return scale, lambda v: tuple(c.numerator * (scale // c.denominator)
                                       for c in v), ring
     return None, lambda v: v, ring
-
-
-def _scaled(ring: Ring, block):
-    """(scale, block) for ``block``, a list of coefficient dicts of
-    ``ring``, its values scaled to integers by one common factor
-    (:func:`_integer_scaling`); the block itself when the scale is 1."""
-    s, raw, _ = _integer_scaling(ring, (v for c in block for v in c.values()))
-    if s in (None, 1):
-        return 1, block
-    return s, [{l: raw(v) for l, v in c.items()} for c in block]
 
 
 def _divided(v, s: int):
@@ -535,37 +528,6 @@ def _kronecker(n: int, top: int, norm: int, ring: Ring):
 
     return (k, pack, lambda x: ring._reduce_slots(unpack(x), width),
             lambda v: sum(map(lshift, v, shifts)))
-
-
-def _packed_product(f: GradedMap, g: GradedMap, labels):
-    """The images of ``labels``, one degree's basis, under f o g as sums of
-    g(l)[m] * packed(f(m)) (:func:`_kronecker`), slot i the coefficient of
-    labels[i].  ``Q`` and ``Q[q]/(f)`` pack integer values
-    (:func:`_scaled`), ``Z/m`` residues in [0, m).  None on a block of f
-    that does not :func:`_packs`, as label by label is cheaper then."""
-    ring, n = f.ring, len(labels)
-    fimg = [f.images[l].coeffs for l in labels]
-    if not _packs(sum(map(len, fimg)), n):
-        return None
-    sf, fimg = _scaled(ring, fimg)
-    sg, gimg = _scaled(ring, [g.images[l].coeffs for l in labels])
-    scale = sf * sg
-    flat, zero = _flat(ring), ring._zero
-    top = max((abs(x) for c in fimg for x in flat(c.values())), default=0)
-    norm = max((sum(map(abs, flat(c.values()))) for c in gimg), default=0)
-    _, pack, unpack, lift = _kronecker(n, top, norm, ring)
-    packed = {m: pack([c.get(l, zero) for l in labels]) for m, c in zip(labels, fimg)}
-    if lift is not None:
-        gimg = [{m: lift(v) for m, v in c.items()} for c in gimg]
-    out = {}
-    for l, c in zip(labels, gimg):
-        digits = unpack(sum(v * packed[m] for m, v in c.items()))
-        coeffs = {x: d for x, d in zip(labels, digits) if d != zero}
-        if scale > 1:
-            for x, d in coeffs.items():
-                coeffs[x] = _divided(d, scale)
-        out[l] = Element._of(f.basis, ring, coeffs)
-    return out
 
 
 def _row_steps(ring: Ring):
@@ -665,17 +627,21 @@ def _eliminate(vectors, steps, zero, width):
 class DegreeBlock:
     """The restriction of a map to one degree, as raw values for iterating it.
 
-    Row i (the i-th label of the degree) holds the positions j and the raw
-    values of the nonzero entries g[i][j], the coefficient of label i in
-    the image of label j; ``masks[j]`` has bit i set when column j touches
-    row i; a block that :func:`_packs` caches its columns packed at the widest
-    slot a step has needed in ``packed``, as (bytes, codec, columns) with
-    the codec of :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose
-    f has a non-integer coefficient).  Over ``Q`` and ``Q[q]/(f)`` every
-    entry is scaled to integers by the lcm ``scale`` of their
-    denominators, so the rows hold ``int``s (integer tuples) and a chain
-    runs on integer vectors z_k with g^k(x) = z_k / scale**k, boxed in
-    canonical form.
+    ``columns[j]`` is the image of the j-th label of the degree, a dict
+    label -> raw value.  Over ``Q`` and ``Q[q]/(f)`` every entry is scaled
+    to integers by the lcm ``scale`` of their denominators, so the columns
+    hold ``int``s (integer tuples) and a chain runs on integer vectors z_k
+    with g^k(x) = z_k / scale**k, boxed in canonical form.
+
+    :meth:`_step` maps a batch of raw vectors.  A block that :func:`_packs`
+    keeps its columns packed at the widest slot a batch has needed in
+    ``packed``, as (bytes, codec, columns) with the codec of
+    :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose f has a
+    non-integer coefficient).  The others step by rows: row i holds the
+    positions j and the raw values of the nonzero entries g[i][j], the
+    coefficient of label i in the image of label j, and ``masks[j]`` has
+    bit i set when column j touches row i; both are built by the first
+    row step.
 
     :meth:`levels` steps every label's chain at once, level by level.
     Over ``Z`` and every field ``steps`` holds the row steps of the exact
@@ -683,101 +649,119 @@ class DegreeBlock:
     level vectors that span it; on every other ring ``steps`` is None.
     """
 
-    __slots__ = ("map", "labels", "index", "rows", "masks", "packed", "flat",
-                 "top", "scale", "raw", "dot", "zero", "one", "nonzero",
-                 "steps")
+    __slots__ = ("map", "labels", "index", "columns", "rows", "masks",
+                 "packed", "flat", "top", "scale", "dot", "zero", "one",
+                 "nonzero", "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
         self.map = g
         self.labels = labels = g.basis.labels_of_degree(d)
-        self.index = index = {l: i for i, l in enumerate(labels)}
-        images = [g.images[l].coeffs for l in labels]
-        self.scale, self.raw, rows = _integer_scaling(
-            ring, (c for img in images for c in img.values()))
+        self.index = {l: i for i, l in enumerate(labels)}
+        columns = [g.images[l].coeffs for l in labels]
+        self.scale, raw, rows = _integer_scaling(
+            ring, chain.from_iterable(map(dict.values, columns)))
+        if self.scale not in (None, 1):
+            columns = [{l: raw(c) for l, c in img.items()} for img in columns]
+        self.columns = columns
         self.dot, self.zero, self.one = rows._dot, rows._zero, rows._one
         self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
-        cols = [[] for _ in labels]
-        vals = [[] for _ in labels]
-        masks = [0] * len(labels)
-        for j, img in enumerate(images):
-            for l, c in img.items():
-                i = index[l]
-                cols[i].append(j)
-                vals[i].append(self.raw(c))
-                masks[j] |= 1 << i
-        self.rows = list(zip(cols, vals))
-        self.masks = masks
+        self.rows = self.masks = None
         # reducing by an f with a non-integer coefficient would leave the
         # integer tuples that a chain over Q[q]/(f) is held in
-        packs = _packs(sum(map(len, cols)), len(labels)) and (
+        packs = _packs(sum(map(len, columns)), len(labels)) and (
             not isinstance(ring, PolyQuotientRing)
             or all(c.__class__ is int for c in ring.modulus))
         self.packed = (0, None, None) if packs else None
         self.flat = _flat(ring)
-        self.top = (max(map(abs, self.flat(chain(*vals))), default=0)
-                    if packs else None)
+        self.top = (max(map(abs, self.flat(chain.from_iterable(map(
+            dict.values, columns)))), default=0) if packs else None)
 
-    def _vector(self, coeffs: dict, raw):
-        """The raw vector of ``coeffs``, each value through raw, and its
-        support."""
-        index = self.index
-        y, support = [self.zero] * len(self.labels), []
-        for l, c in coeffs.items():
-            i = index[l]
-            y[i] = raw(c)
-            support.append(i)
+    def _vector(self, coeffs: dict, raw=None):
+        """The raw vector of ``coeffs``, each value through raw when one is
+        given, and its support."""
+        support = list(map(self.index.__getitem__, coeffs))
+        y = [self.zero] * len(self.labels)
+        for i, c in zip(support, coeffs.values() if raw is None
+                        else map(raw, coeffs.values())):
+            y[i] = c
         return y, support
 
-    def _column(self, j):
-        """The image of label j as a raw vector and its support."""
-        return self._vector(self.map.images[self.labels[j]].coeffs, self.raw)
+    def mapped(self, xs):
+        """g(x) for each Element x of this degree: one :meth:`_step` of the
+        whole batch on a packed block, over ``Q`` and ``Q[q]/(f)`` with
+        the batch scaled to integers by the lcm of its denominators; label
+        by label (:func:`_accumulate`) on the others."""
+        g = self.map
+        if self.packed is None:
+            return [g._apply(x) for x in xs]
+        scale, raw, _ = _integer_scaling(
+            g.ring, chain.from_iterable(x.coeffs.values() for x in xs))
+        vectors = [self._vector(x.coeffs, None if scale in (None, 1) else raw)
+                   for x in xs]
+        return [self._boxed(y, support, 1, scale)
+                for y, support in self._step(vectors)]
 
-    def apply(self, x: Element) -> Element:
-        """g(x) for an element x of this degree, by one :meth:`_step`; over
-        ``Q`` and ``Q[q]/(f)`` x is first scaled to integers by the lcm of
-        its own denominators."""
-        scale, raw, _ = _integer_scaling(self.map.ring, x.coeffs.values())
-        y, support = self._step(*self._vector(x.coeffs, raw))
-        return self._boxed(y, support, 1, scale)
+    def _step(self, vectors):
+        """g applied to each raw vector y of the batch ``vectors`` of pairs
+        (y, support), support the positions where y is nonzero; returns the
+        (image, support) pairs.
 
-    def _step(self, y, support):
-        """g applied to the raw vector y, nonzero exactly on ``support``;
-        returns the image and its support.  On a ``packed`` block it is the
-        sum of y[j] times the packed column j (:func:`_kronecker`, digits
-        bounded by max|entry| * ||y||_1); on the others only the rows that
+        On a ``packed`` block an image is the sum of y[j] times the packed
+        column j (:func:`_kronecker`).  One codec serves the batch: its
+        digits are bounded by max|entry| times the largest ||y||_1 of the
+        batch, and it is rebuilt only when the kept one is too narrow, as a
+        wider slot is exact too.  On the other blocks only the rows that
         the support touches are recomputed, one ``_dot`` per row.
         """
+        n = len(self.labels)
         if self.packed is not None:
-            ys, n = [y[j] for j in support], len(y)
-            norm = sum(map(abs, self.flat(ys)))
-            # the slot bits of _kronecker: a wider slot is exact too, so a
-            # codec is built only when the kept one is too narrow
+            flat = self.flat
+            batch = [list(map(y.__getitem__, s)) for y, s in vectors]
+            norm = max((sum(map(abs, flat(ys))) for ys in batch), default=0)
+            # the slot bits of _kronecker
             if (self.top * max(norm, 1)).bit_length() + 1 > 8 * self.packed[0]:
                 codec = _kronecker(n, self.top, norm, self.map.ring)
-                k, pack, _, _ = codec
-                self.packed = k, codec, [pack(self._column(j)[0]) for j in range(n)]
+                zeros = [self.zero] * n
+                self.packed = codec[0], codec, [
+                    codec[1](list(map(img.get, self.labels, zeros)))
+                    for img in self.columns]
             _, (_, _, unpack, lift), columns = self.packed
-            if lift is not None:
-                ys = map(lift, ys)
-            y = unpack(sum(map(mul, ys, map(columns.__getitem__, support))))
-            return y, list(compress(range(n), self.nonzero(y)))
+            out = []
+            for ys, (_, support) in zip(batch, vectors):
+                y = unpack(sum(map(mul, ys if lift is None else map(lift, ys),
+                                   map(columns.__getitem__, support))))
+                out.append((y, list(compress(range(n), self.nonzero(y)))))
+            return out
+        if self.rows is None:
+            cols, vals = [[] for _ in range(n)], [[] for _ in range(n)]
+            self.masks = masks = [0] * n
+            for j, img in enumerate(self.columns):
+                for l, c in img.items():
+                    i = self.index[l]
+                    cols[i].append(j)
+                    vals[i].append(c)
+                    masks[j] |= 1 << i
+            self.rows = list(zip(cols, vals))
         rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
-        touched = 0
-        for j in support:
-            touched |= masks[j]
-        nxt, support = [zero] * len(self.labels), []
-        while touched:
-            low = touched & -touched
-            touched ^= low
-            i = low.bit_length() - 1
-            cols, vals = rows[i]
-            v = dot(vals, map(y.__getitem__, cols))
-            if v != zero:
-                nxt[i] = v
-                support.append(i)
-        return nxt, support
+        out = []
+        for y, support in vectors:
+            touched = 0
+            for j in support:
+                touched |= masks[j]
+            nxt, image_support = [zero] * n, []
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                i = low.bit_length() - 1
+                cols, vals = rows[i]
+                v = dot(vals, map(y.__getitem__, cols))
+                if v != zero:
+                    nxt[i] = v
+                    image_support.append(i)
+            out.append((nxt, image_support))
+        return out
 
     def levels(self):
         """Yield, for k = 0, 1, 2, ..., the list of ``(j, y, support)`` for
@@ -786,8 +770,8 @@ class DegreeBlock:
         and ``support`` its nonzero positions.
 
         Level 0 holds the basis vectors and level 1 the stored images; each
-        later level is one :meth:`_step` of every vector of the level
-        before.  It stops before the first empty level.
+        later level is one :meth:`_step` of the batch of the level before.
+        It stops before the first empty level.
         """
         n = len(self.labels)
         level = []
@@ -797,10 +781,11 @@ class DegreeBlock:
             level.append((j, y, [j]))
         if level:
             yield level
-        level = [(j, *self._column(j)) for j in range(n)]
+        level = [(j, *self._vector(img)) for j, img in enumerate(self.columns)]
         while level := [entry for entry in level if entry[2]]:
             yield level
-            level = [(j, *self._step(y, support)) for j, y, support in level]
+            images = self._step([(y, support) for _, y, support in level])
+            level = [(j, *image) for (j, _, _), image in zip(level, images)]
 
     def box(self, k: int, j: int, y, support) -> Element:
         """The Element g^k(x_j) of the entry ``(j, y, support)`` of level k
@@ -838,10 +823,10 @@ class DegreeBlock:
         """The Element of step k, stored as y on ``support``, whose start
         was scaled by ``scale`` as well."""
         g, labels = self.map, self.labels
-        if self.scale is None:
+        denominator = 1 if self.scale is None else self.scale ** k * scale
+        if denominator == 1:
             coeffs = {labels[i]: y[i] for i in support}
         else:
-            denominator = self.scale ** k * scale
             coeffs = {labels[i]: _divided(y[i], denominator) for i in support}
         return Element._of(g.basis, g.ring, coeffs)
 

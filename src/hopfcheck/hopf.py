@@ -73,6 +73,7 @@ class HopfPresentation:
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
         self._antipode_squared: GradedMap | None = None
+        self._id_minus_antipode_squared: GradedMap | None = None
 
     # basic accessors -----------------------------------------------------
     @property
@@ -298,6 +299,14 @@ class HopfPresentation:
             S = self.antipode()
             self._antipode_squared = S.compose(S)
         return self._antipode_squared
+
+    def id_minus_antipode_squared(self) -> GradedMap:
+        """id - S^2, whose chains the antipode suites check (cached: the
+        suites of one run share it and the degree blocks it keeps)."""
+        if self._id_minus_antipode_squared is None:
+            one = GradedMap.identity(self.basis, self.ring)
+            self._id_minus_antipode_squared = one - self.antipode_squared()
+        return self._id_minus_antipode_squared
 
     def antipode_oracle(self) -> GradedMap:
         """Independent antipode from the right axiom recursion (cached).

@@ -10,6 +10,8 @@ NOT_CHECKED = "not-checked"
 EXPECTED_NONIDENTITY = "expected-nonidentity"
 
 _OK_STATUSES = {PASS, NOT_CHECKED, EXPECTED_NONIDENTITY}
+# the reason a check over an empty scope carries: it passes, comparing nothing
+VACUOUS = "vacuous: no item in scope"
 
 
 @dataclass
@@ -42,14 +44,17 @@ class Report:
     def first_failure(self, claim, statement, items, failure) -> bool:
         """Add one check over ``items``: ``failure(item)`` returns None when
         the item passes, else its witness.  FAIL with the first witness,
-        PASS when every item passes; return whether it passed.  Items after
-        the first failure are not examined."""
+        PASS when every item passes, with the reason :data:`VACUOUS` when
+        there is none; return whether it passed.  Items after the first
+        failure are not examined."""
+        empty = True
         for item in items:
+            empty = False
             bad = failure(item)
             if bad is not None:
                 self.add(claim, statement, FAIL, bad)
                 return False
-        self.add(claim, statement, PASS)
+        self.add(claim, statement, PASS, VACUOUS if empty else None)
         return True
 
     def per_label(self, claim, statement, labels, predicate) -> bool:

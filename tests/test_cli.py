@@ -291,6 +291,53 @@ def test_empty_chain_scope_is_not_checked(capsys, argv, first_u):
         assert check["witness"].endswith(f"{first_u[claim]} <= u <= {top}")
 
 
+FREE_WITHOUT_DEGREE_ONE = """hopf-spec 1
+name free23
+ring Z
+maxdeg 5
+free
+generator x 2 = primitive
+generator y 3 = primitive
+"""
+
+
+def structured_checks(capsys, *argv):
+    """Exit code and the checks of every suite of a structured report,
+    by claim."""
+    code, out, _ = run(capsys, "verify", *argv, "--format", "structured")
+    return code, {c["claim"]: c for suite in json.loads(out)["suites"]
+                  for c in suite["checks"]}
+
+
+def test_empty_premise_scope_passes_vacuously(capsys, tmp_path):
+    # theorem1 at p = 3 on maxdeg 3 reads grading over degrees 4..3, and a
+    # free algebra on generators of degrees 2 and 3 has no degree-1 pair
+    code, checks = structured_checks(
+        capsys, "--algebra", "tensor", "--maxdeg", "3", "--suite", "theorem1",
+        "--p", "3")
+    assert code == 0
+    assert checks["grading"]["status"] == "pass"
+    assert checks["grading"]["witness"] == "vacuous: no item in scope"
+    # a premise over a nonempty scope passes bare
+    assert checks["annihilation"]["status"] == "pass"
+    assert "witness" not in checks["annihilation"]
+    spec = tmp_path / "free23.hspec"
+    spec.write_text(FREE_WITHOUT_DEGREE_ONE)
+    code, checks = structured_checks(
+        capsys, "--spec", str(spec), "--suite", "lowered-exponent", "--p", "2")
+    assert code == 0
+    commutativity = checks["degree-1-commutativity"]
+    assert commutativity["status"] == "pass"
+    assert commutativity["witness"] == "vacuous: no item in scope"
+    assert "witness" not in checks["premise"]
+    # the shuffle algebra is commutative: its degree-1 pairs pass bare
+    code, checks = structured_checks(
+        capsys, "--algebra", "shuffle", "--maxdeg", "3", "--suite",
+        "lowered-exponent", "--p", "2")
+    assert checks["degree-1-commutativity"]["status"] == "pass"
+    assert "witness" not in checks["degree-1-commutativity"]
+
+
 def test_chains_reaching_zero_early_still_pass(capsys):
     # every chain of degree u reaches zero by (id-S^2)^(u-1): nilpotency at
     # exponent u compares nothing nonzero, yet its scope is not empty

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                            Tensor2Map, _packed_product, kernel_vectors,
+                            Tensor2Map, kernel_vectors,
                             tensor_sum_vanishes)
 from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing, RingElement
 
@@ -220,7 +220,8 @@ def test_packed_digit_at_the_width_bound(bound):
     """f(x) = f(y) = x - y and g(x) = -g(y) = a x + b y with a + b = bound:
     every digit of f o g on degree 1 is +-bound = max|f| * max l1-norm of
     g, which fills its slot exactly for bounds 2**(8k - 1) - 1.  A third
-    label z, with f(z) = g(z) = 0, makes the block large enough to pack."""
+    label z, with f(z) = g(z) = 0, makes the block large enough to pack,
+    and ``compose`` maps g's images as one batch of f's packed block."""
     basis = GradedBasis([["1"], ["x", "y", "z"]])
     a, b = bound // 3, bound - bound // 3
 
@@ -230,8 +231,10 @@ def test_packed_digit_at_the_width_bound(bound):
                               "y": image({"x": 1, "y": -1}), "z": image({})})
     g = GradedMap(basis, ZZ, {"1": image({"1": 1}), "x": image({"x": a, "y": b}),
                               "y": image({"x": -a, "y": -b}), "z": image({})})
-    assert _packed_product(f, g, basis.degrees[1]) == {
-        "x": image({"x": bound, "y": -bound}),
+    fg = f.compose(g)
+    assert f._blocks[1].packed is not None  # the block compose kept
+    assert fg.images == {
+        "1": image({"1": 1}), "x": image({"x": bound, "y": -bound}),
         "y": image({"x": -bound, "y": bound}), "z": image({})}
 
 
@@ -257,23 +260,25 @@ def test_packed_quotient_digit_at_the_width_bound(ring, bound):
                                 "y": image({"x": [0, -a], "y": [0, -b]}),
                                 "z": image({})})
     top = [0, 0, bound]  # bound q^2
-    assert _packed_product(f, g, basis.degrees[1]) == {
-        "x": image({"x": top, "y": [-c for c in top]}),
+    fg = f.compose(g)
+    assert f._blocks[1].packed is not None  # the block compose kept
+    assert fg.images == {
+        "1": image({"1": [1]}), "x": image({"x": top, "y": [-c for c in top]}),
         "y": image({"x": [-c for c in top], "y": top}), "z": image({})}
 
 
 @pytest.mark.parametrize("modulus", [[Fraction(1, 2), 0, 1],
                                      [1, 0, Fraction(1, 2), 1]], ids=str)
 def test_packed_compose_over_a_non_integer_modulus(modulus):
-    """Reducing by q^2 + 1/2, or by q^3 + q^2/2 + 1, leaves the integers:
-    the decoded products are reduced to Fractions, a Fraction reduced
-    again by an integer coefficient, and then divided by the scales,
-    exactly."""
+    """Reducing by q^2 + 1/2, or by q^3 + q^2/2 + 1, leaves the integers
+    that a packed block holds, so a dense block over such a ring does not
+    pack: it composes label by label, exactly, with scaled (1/3) and
+    integral (scale 1) entries."""
     ring = PolyQuotientRing(QQ, modulus)
     for first in (Fraction(1, 3), 2):  # scaled, and integral (scale 1)
         f = block_map(ring, [(first, i % 3, 1 - i % 2) for i in range(len(CELLS))])
-        assert _packed_product(f, f, BP.degrees[2]) is not None
         assert typed(f.compose(f)) == typed(applied(f, f))
+        assert f.block(2).packed is None
 
 
 @given(f=rand_maps(ModRing(5)), a=st.integers(0, 3), b=st.integers(0, 3))

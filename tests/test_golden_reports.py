@@ -56,6 +56,12 @@ on native polynomial kernels and the Kronecker codec.
 In ``golden_reports.json`` the ``taft-remark`` reports on the connected
 zoo algebras are exit 1 with no report: the suite reads its input, and
 none of them presents a Taft algebra.
+
+The ``lowered-exponent`` digests at p = 1, in ``golden_reports.json``,
+``golden_reports_wide.json`` and ``golden_reports_qring.json``, were
+re-recorded when a premise over an empty scope (there the degrees 2 to
+1) began to pass with the reason ``vacuous: no item in scope``; no other
+byte of those reports changed.
 """
 
 import ast

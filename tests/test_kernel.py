@@ -952,7 +952,7 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
         n = len(labels)
         nonzeros = sum(len(g.images[l].coeffs) for l in labels)
         assert (block.packed is not None) == (_dense(nonzeros, n) and n >= 3)
-        assert block._step([block.zero] * n, []) == ([block.zero] * n, [])
+        assert block._step([([block.zero] * n, [])]) == [([block.zero] * n, [])]
         for label in labels:
             walked = [typed(y) for y in block_chain(block, label, 6)]
             expected = [Element.basis_vector(PACK_BASIS, ring, label)]
@@ -961,13 +961,20 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
             if expected[-1].is_zero():
                 expected.pop()
             assert walked == [typed(y) for y in expected]
-        for label in labels:
-            x = g._apply(Element.basis_vector(PACK_BASIS, ring, label))
-            for y in (x, g._apply(x)):
-                assert typed(block.apply(y)) == typed(rows.apply(y)) == typed(
-                    g(y)) == typed(g._apply(y))
-        # g(y) steps by the block that g keeps exactly when that block packs
-        assert (g._blocks.get(d) is not None) == (block.packed is not None)
+        # every image and square of an image of the degree, as one batch
+        # and one at a time
+        ys = [y for label in labels
+              for x in [g._apply(Element.basis_vector(PACK_BASIS, ring, label))]
+              for y in (x, g._apply(x))]
+        expected = [typed(g._apply(y)) for y in ys]
+        assert [typed(x) for x in block.mapped(ys)] == expected
+        assert [typed(g(y)) for y in ys] == expected
+        # g(y) maps through the one block that g keeps for the degree,
+        # built on first use, packed or row-stepped alike
+        assert (d in g._blocks) == any(not y.is_zero() for y in ys)
+        kept = g.block(d)
+        assert g.block(d) is kept
+        assert (kept.packed is None) == (block.packed is None)
         assert [[(j, typed(block.box(k, j, y, s))) for j, y, s in level]
                 for k, level in enumerate(itertools.islice(block.levels(), 5))] == [
             [(j, typed(rows.box(k, j, y, s))) for j, y, s in level]
@@ -1029,8 +1036,25 @@ def test_packed_step_digit_at_the_width_bound(bound):
     fills its slot exactly for bounds 2**(8k - 1) - 1 and needs a wider
     slot for bounds 2**(8k) - 1."""
     a = bound // 3
-    assert difference_block()._step([a, a - bound, 0], [0, 1]) == (
-        [bound, -bound, 0], [0, 1])
+    assert difference_block()._step([([a, a - bound, 0], [0, 1])]) == [
+        ([bound, -bound, 0], [0, 1])]
+
+
+@pytest.mark.parametrize("bound", WIDTH_BOUNDS)
+def test_level_batch_mixing_the_width_bound_decodes_exactly(bound):
+    """One codec serves a whole batch, so its slots must hold the largest
+    digit of any vector in it: a batch whose vector at the width bound
+    sits between small ones (and a zero vector) decodes exactly, also
+    through a block whose kept packing was narrower."""
+    a = bound // 3
+    batch = [([3, -1, 0], [0, 1]), ([a, a - bound, 0], [0, 1]),
+             ([0, 0, 0], []), ([1, 0, 0], [0])]
+    images = [([4, -4, 0], [0, 1]), ([bound, -bound, 0], [0, 1]),
+              ([0, 0, 0], []), ([1, -1, 0], [0, 1])]
+    assert difference_block()._step(batch) == images
+    block = difference_block()
+    assert block._step(batch[:1]) == images[:1] and block.packed[0] == 1
+    assert block._step(batch) == images
 
 
 @pytest.mark.parametrize("bound", WIDTH_BOUNDS)
@@ -1050,20 +1074,21 @@ def test_packed_quotient_step_digit_at_the_width_bound(ring, bound):
     assert block.packed is not None
     a = bound // 3
     top, zero = ring._reduce([0, 0, bound]), ring._zero
-    assert block._step([(0, a), (0, a - bound), zero], [0, 1]) == (
-        [top, ring._neg(top), zero], [0, 1])
+    assert block._step([([(0, a), (0, a - bound), zero], [0, 1])]) == [
+        ([top, ring._neg(top), zero], [0, 1])]
 
 
 def test_packed_step_keeps_one_packing_at_the_widest_slot():
-    """A step that needs a wider slot repacks the columns; a later step
+    """A batch that needs a wider slot repacks the columns; a later batch
     that fits a narrower one decodes them at the wider slot, exactly."""
     block = difference_block()
-    assert block._step([3, -1, 0], [0, 1]) == ([4, -4, 0], [0, 1])
+    assert block._step([([3, -1, 0], [0, 1])]) == [([4, -4, 0], [0, 1])]
     assert block.packed[0] == 1
     big = 2**100
-    assert block._step([big, -big, 0], [0, 1]) == ([2 * big, -2 * big, 0], [0, 1])
+    assert block._step([([big, -big, 0], [0, 1])]) == [
+        ([2 * big, -2 * big, 0], [0, 1])]
     wide, _, columns = block.packed
     assert wide > 8 and len(columns) == 3
-    assert block._step([3, -1, 0], [0, 1]) == ([4, -4, 0], [0, 1])
-    assert block._step([5, 5, 0], [0, 1]) == ([0, 0, 0], [])
+    assert block._step([([3, -1, 0], [0, 1]), ([5, 5, 0], [0, 1])]) == [
+        ([4, -4, 0], [0, 1]), ([0, 0, 0], [])]
     assert block.packed[0] == wide and block.packed[2] is columns

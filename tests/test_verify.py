@@ -7,7 +7,7 @@ from hopfcheck.errors import StructuralError
 from hopfcheck.gmod import DegreeBlock, Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
 from hopfcheck.rings import QQ, ZZ, ModRing, ring_from_string
-from hopfcheck.report import Report
+from hopfcheck.report import PASS, VACUOUS, Report
 from hopfcheck.verify import (PreCoalgebraInstance, binomial_identity_check,
                               chain_checks, check_hypotheses,
                               instance_from_hopf,
@@ -435,3 +435,30 @@ def test_taft_remark_suite():
     assert st["never-nilpotent"] == "expected-nonidentity"
     realized = next(c for c in rep.checks if c.claim == "squared-action")
     assert "realized" in (realized.witness or "")
+
+
+def test_first_failure_over_no_item_passes_vacuously():
+    rep = Report("scopes")
+    assert rep.first_failure("empty", "s", iter(()), lambda x: x)
+    assert rep.per_label("no-labels", "s", (), lambda label: False)
+    assert rep.first_failure("one", "s", [None], lambda x: x)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, VACUOUS), (PASS, VACUOUS), (PASS, None)]
+    assert rep.ok()
+
+
+def test_suites_share_one_id_minus_antipode_squared(monkeypatch):
+    """id - S^2 is built once per presentation, and a second suite steps
+    its chains on the degree blocks the first one left on it."""
+    H = fqsym(ZZ, 4)
+    built, sub = [], GradedMap.__sub__
+    monkeypatch.setattr(GradedMap, "__sub__",
+                        lambda a, b: built.append(1) or sub(a, b))
+    g = H.id_minus_antipode_squared()
+    assert g is H.id_minus_antipode_squared()
+    assert suite_graded_hopf(H).ok()
+    blocks = dict(g._blocks)
+    assert sorted(blocks) == list(range(1, H.max_degree + 1))
+    assert suite_lowered_exponent(H, 2).ok()
+    assert all(g.block(d) is block for d, block in blocks.items())
+    assert len(built) == 1
