@@ -12,7 +12,8 @@ whether a sum of such pairs is the zero operator.
 
 Coefficient arithmetic on these dicts runs through one accumulator,
 :func:`_accumulate`, but in the structure-constant loops of ``hopf.py``,
-which sum table rows into one raw-value dict, and on degree blocks.  A
+which sum table rows on label indices, and in the packed step of a dense
+degree block.  A
 map keeps one :class:`DegreeBlock` per degree (:meth:`GradedMap.block`),
 and every application of the map to a degree's vectors goes through it:
 :meth:`GradedMap.compose` over the other map's images as one batch,
@@ -21,12 +22,12 @@ nilpotency chains, which a block steps for all its labels at once.  On a
 block a quarter nonzero (:func:`_packs`) a batch is one
 :meth:`DegreeBlock._step` through one Kronecker codec,
 :func:`_kronecker`, that packs the block's columns into integers (the
-tuples of ``R[q]/(f)`` on two levels); on the others ``compose`` and
-``__call__`` accumulate label by label and a chain step makes one
-``Ring._dot`` per touched row.  Exact linear algebra runs through one
-elimination, :func:`_eliminate`, with row steps chosen once per ring: it
-picks the vectors of a chain level that span it and finds the kernels of
-:func:`kernel_vectors`.
+tuples of ``R[q]/(f)`` on two levels); on the others every image, of
+``compose``, ``__call__`` or a chain step, is summed by
+:func:`_accumulate` over the columns its vector touches.  Exact linear
+algebra runs through one elimination, :func:`_eliminate`, with row steps
+chosen once per ring: it picks the vectors of a chain level that span it
+and finds the kernels of :func:`kernel_vectors`.
 """
 
 from __future__ import annotations
@@ -627,21 +628,21 @@ def _eliminate(vectors, steps, zero, width):
 class DegreeBlock:
     """The restriction of a map to one degree, as raw values for iterating it.
 
-    ``columns[j]`` is the image of the j-th label of the degree, a dict
-    label -> raw value.  Over ``Q`` and ``Q[q]/(f)`` every entry is scaled
-    to integers by the lcm ``scale`` of their denominators, so the columns
-    hold ``int``s (integer tuples) and a chain runs on integer vectors z_k
-    with g^k(x) = z_k / scale**k, boxed in canonical form.
+    ``columns[j]`` is the image of the j-th label of the degree, as an
+    Element over ``ring``, the ring of the block's raw values: the image
+    itself, but over ``Q`` and ``Q[q]/(f)``, where every entry is scaled
+    to integers by the lcm ``scale`` of their denominators.  There the
+    columns hold ``int``s over ``Z`` (integer tuples), and a chain runs on
+    integer vectors z_k with g^k(x) = z_k / scale**k, boxed in canonical
+    form.
 
     :meth:`_step` maps a batch of raw vectors.  A block that :func:`_packs`
     keeps its columns packed at the widest slot a batch has needed in
     ``packed``, as (bytes, codec, columns) with the codec of
     :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose f has a
-    non-integer coefficient).  The others step by rows: row i holds the
-    positions j and the raw values of the nonzero entries g[i][j], the
-    coefficient of label i in the image of label j, and ``masks[j]`` has
-    bit i set when column j touches row i; both are built by the first
-    row step.
+    non-integer coefficient).  On the others a step sums the columns that
+    a vector touches by :func:`_accumulate`, as the map's label-by-label
+    application does.
 
     :meth:`levels` steps every label's chain at once, level by level.
     Over ``Z`` and every field ``steps`` holds the row steps of the exact
@@ -649,34 +650,34 @@ class DegreeBlock:
     level vectors that span it; on every other ring ``steps`` is None.
     """
 
-    __slots__ = ("map", "labels", "index", "columns", "rows", "masks",
-                 "packed", "flat", "top", "scale", "dot", "zero", "one",
-                 "nonzero", "steps")
+    __slots__ = ("map", "labels", "index", "ring", "columns", "packed",
+                 "flat", "top", "scale", "zero", "one", "nonzero", "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
         self.map = g
         self.labels = labels = g.basis.labels_of_degree(d)
         self.index = {l: i for i, l in enumerate(labels)}
-        columns = [g.images[l].coeffs for l in labels]
+        columns = [g.images[l] for l in labels]
         self.scale, raw, rows = _integer_scaling(
-            ring, chain.from_iterable(map(dict.values, columns)))
-        if self.scale not in (None, 1):
-            columns = [{l: raw(c) for l, c in img.items()} for img in columns]
+            ring, chain.from_iterable(x.coeffs.values() for x in columns))
+        if rows is not ring or self.scale not in (None, 1):
+            columns = [Element._of(g.basis, rows, x.coeffs if self.scale == 1 else
+                                   {l: raw(c) for l, c in x.coeffs.items()})
+                       for x in columns]
         self.columns = columns
-        self.dot, self.zero, self.one = rows._dot, rows._zero, rows._one
+        self.ring, self.zero, self.one = rows, rows._zero, rows._one
         self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
-        self.rows = self.masks = None
         # reducing by an f with a non-integer coefficient would leave the
         # integer tuples that a chain over Q[q]/(f) is held in
-        packs = _packs(sum(map(len, columns)), len(labels)) and (
+        packs = _packs(sum(len(x.coeffs) for x in columns), len(labels)) and (
             not isinstance(ring, PolyQuotientRing)
             or all(c.__class__ is int for c in ring.modulus))
         self.packed = (0, None, None) if packs else None
         self.flat = _flat(ring)
-        self.top = (max(map(abs, self.flat(chain.from_iterable(map(
-            dict.values, columns)))), default=0) if packs else None)
+        self.top = (max(map(abs, self.flat(chain.from_iterable(
+            x.coeffs.values() for x in columns))), default=0) if packs else None)
 
     def _vector(self, coeffs: dict, raw=None):
         """The raw vector of ``coeffs``, each value through raw when one is
@@ -712,8 +713,9 @@ class DegreeBlock:
         column j (:func:`_kronecker`).  One codec serves the batch: its
         digits are bounded by max|entry| times the largest ||y||_1 of the
         batch, and it is rebuilt only when the kept one is too narrow, as a
-        wider slot is exact too.  On the other blocks only the rows that
-        the support touches are recomputed, one ``_dot`` per row.
+        wider slot is exact too.  On the other blocks an image is the sum
+        of y[j] times column j by :func:`_accumulate`, the kernel that
+        ``compose`` and ``__call__`` run there label by label.
         """
         n = len(self.labels)
         if self.packed is not None:
@@ -725,7 +727,7 @@ class DegreeBlock:
                 codec = _kronecker(n, self.top, norm, self.map.ring)
                 zeros = [self.zero] * n
                 self.packed = codec[0], codec, [
-                    codec[1](list(map(img.get, self.labels, zeros)))
+                    codec[1](list(map(img.coeffs.get, self.labels, zeros)))
                     for img in self.columns]
             _, (_, _, unpack, lift), columns = self.packed
             out = []
@@ -734,34 +736,9 @@ class DegreeBlock:
                                    map(columns.__getitem__, support))))
                 out.append((y, list(compress(range(n), self.nonzero(y)))))
             return out
-        if self.rows is None:
-            cols, vals = [[] for _ in range(n)], [[] for _ in range(n)]
-            self.masks = masks = [0] * n
-            for j, img in enumerate(self.columns):
-                for l, c in img.items():
-                    i = self.index[l]
-                    cols[i].append(j)
-                    vals[i].append(c)
-                    masks[j] |= 1 << i
-            self.rows = list(zip(cols, vals))
-        rows, masks, dot, zero = self.rows, self.masks, self.dot, self.zero
-        out = []
-        for y, support in vectors:
-            touched = 0
-            for j in support:
-                touched |= masks[j]
-            nxt, image_support = [zero] * n, []
-            while touched:
-                low = touched & -touched
-                touched ^= low
-                i = low.bit_length() - 1
-                cols, vals = rows[i]
-                v = dot(vals, map(y.__getitem__, cols))
-                if v != zero:
-                    nxt[i] = v
-                    image_support.append(i)
-            out.append((nxt, image_support))
-        return out
+        ring, columns, vector = self.ring, self.columns, self._vector
+        return [vector(_accumulate(ring, ((y[j], columns[j], None) for j in support)))
+                for y, support in vectors]
 
     def levels(self):
         """Yield, for k = 0, 1, 2, ..., the list of ``(j, y, support)`` for
@@ -781,7 +758,8 @@ class DegreeBlock:
             level.append((j, y, [j]))
         if level:
             yield level
-        level = [(j, *self._vector(img)) for j, img in enumerate(self.columns)]
+        level = [(j, *self._vector(img.coeffs))
+                 for j, img in enumerate(self.columns)]
         while level := [entry for entry in level if entry[2]]:
             yield level
             images = self._step([(y, support) for _, y, support in level])

@@ -269,19 +269,16 @@ class HopfPresentation:
         # product S(x1) x2 expanded into structure constants and the sum
         # negated once; the labels of degree < d are those of index < start
         ring, prows, crows, n = self.ring, self._prows, self._crows, self._n
-        mul, add, neg, one = ring._mul, ring._add, ring._neg, ring._one
+        mul, neg, one = ring._mul, ring._neg, ring._one
         images, start = {0: {0: one}}, 1  # the unit, the one label of degree 0
         for d in range(1, self.max_degree + 1):
             for i in range(start, start + self.basis.rank(d)):
-                acc = {}
-                for a, b, c in zip(*crows[i][1:]):
-                    if (b if right else a) >= start:
-                        continue
-                    for m, v in images[b if right else a].items():
-                        v = c if v is one else v if c is one else mul(c, v)
-                        for k, w in prows[a * n + m if right else m * n + b]:
-                            w = w if v is one else v if w is one else mul(v, w)
-                            acc[k] = add(acc[k], w) if k in acc else w
+                # a list: cheaper per term than resuming a generator
+                acc = self._sum([
+                    (c if v is one else v if c is one else mul(c, v),
+                     prows[a * n + m if right else m * n + b])
+                    for a, b, c in zip(*crows[i][1:]) if (b if right else a) < start
+                    for m, v in images[b if right else a].items()])
                 images[i] = {k: neg(v) for k, v in _nonzero(ring, acc).items()}
             start += self.basis.rank(d)
         return GradedMap(self.basis, ring, {self.basis.labels[i]: self._labelled(img)

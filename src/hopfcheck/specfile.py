@@ -198,36 +198,38 @@ class _Parser:
             out.append((coeff, tuple(tokens[1:])))
         return out
 
-    def _line_counit(self, lineno, args, line):
+    def _entry(self, lineno, line, rows, what, arity):
+        """(key, text) of a table line naming ``arity`` labels before '=':
+        the labels (one label alone) and the text after '='.  Fail when
+        the line names the wrong number of labels or an earlier line gave
+        the same entry."""
         head, tail = self._split_eq(lineno, line)
-        if len(head) != 1:
-            self.fail(lineno, "counit needs one label")
+        if len(head) != arity:
+            self.fail(lineno, f"{what} needs "
+                              f"{'one label' if arity == 1 else 'two labels'}")
+        key = tuple(head) if arity > 1 else head[0]
+        if key in rows:
+            self.fail(lineno, f"repeated {what} entry for {' '.join(head)}")
+        return key, tail
+
+    def _line_counit(self, lineno, args, line):
+        key, tail = self._entry(lineno, line, self.counit_rows, "counit", 1)
         try:
-            self.counit_rows[head[0]] = self._need(
-                lineno, "ring", self.ring)._parse(tail)
+            self.counit_rows[key] = self._need(lineno, "ring", self.ring)._parse(tail)
         except (StructuralError, ValueError) as exc:
             self.fail(lineno, f"bad coefficient: {exc}")
 
     def _line_product(self, lineno, args, line):
-        head, tail = self._split_eq(lineno, line)
-        if len(head) != 2:
-            self.fail(lineno, "product needs two labels")
-        self.product_rows[(head[0], head[1])] = (lineno,
-                                                 self._parse_terms(lineno, tail, 1))
+        key, tail = self._entry(lineno, line, self.product_rows, "product", 2)
+        self.product_rows[key] = (lineno, self._parse_terms(lineno, tail, 1))
 
     def _line_coproduct(self, lineno, args, line):
-        head, tail = self._split_eq(lineno, line)
-        if len(head) != 1:
-            self.fail(lineno, "coproduct needs one label")
-        self.coproduct_rows[head[0]] = (lineno,
-                                        self._parse_terms(lineno, tail, 2))
+        key, tail = self._entry(lineno, line, self.coproduct_rows, "coproduct", 1)
+        self.coproduct_rows[key] = (lineno, self._parse_terms(lineno, tail, 2))
 
     def _line_antipode(self, lineno, args, line):
-        head, tail = self._split_eq(lineno, line)
-        if len(head) != 1:
-            self.fail(lineno, "antipode needs one label")
-        self.antipode_rows[head[0]] = (lineno,
-                                       self._parse_terms(lineno, tail, 1))
+        key, tail = self._entry(lineno, line, self.antipode_rows, "antipode", 1)
+        self.antipode_rows[key] = (lineno, self._parse_terms(lineno, tail, 1))
 
     # free body ------------------------------------------------------------
     def _line_generator(self, lineno, args, line):
@@ -263,10 +265,11 @@ class _Parser:
             raise SpecFileError("no 'tables' or 'free' body")
         if self.unit is None:
             raise SpecFileError("no unit declared")
-        degrees = []
-        for d in range(self.maxdeg + 1):
-            lineno, labels = self.basis_rows.get(d, (None, []))
-            degrees.append(labels)
+        for d, (lineno, _) in self.basis_rows.items():
+            if not 0 <= d <= self.maxdeg:
+                self.fail(lineno, f"basis degree {d} outside 0..{self.maxdeg}")
+        degrees = [self.basis_rows.get(d, (None, []))[1]
+                   for d in range(self.maxdeg + 1)]
         try:
             basis = GradedBasis(degrees)
         except StructuralError as exc:

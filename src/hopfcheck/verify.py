@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import zoo
 from .errors import StructuralError
@@ -65,8 +66,10 @@ class PreCoalgebraInstance:
             raise StructuralError("e, f and delta must be over the instance's "
                                   "basis and ring")
 
-    @property
+    @cached_property
     def g(self) -> GradedMap:
+        """e - f, built once: the hypotheses and the conclusions share it
+        and the degree blocks it keeps."""
         return self.e - self.f
 
     def commute_on(self, label: str) -> bool:
@@ -84,7 +87,9 @@ def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
     """Instance with delta the reduced coproduct and e, f even antipode powers.
 
     ``e_spec``/``f_spec`` are "id", "S2" or "S4" (equivalently 0, 2, 4 as
-    exponents of the antipode), built as powers of the cached S^2.
+    exponents of the antipode), built as powers of the cached S^2.  For
+    e = id and f = S^2 the instance's g is ``H.id_minus_antipode_squared()``,
+    the map that the antipode suites of the same presentation step.
     """
     H.require_connected()
 
@@ -97,9 +102,12 @@ def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
         return H.antipode_squared().power(exponent // 2)
 
     delta = {l: reduced_coproduct_label(H, l) for l in H.basis.labels}
-    return PreCoalgebraInstance(f"{H.name}[{e_spec},{f_spec},p={p}]",
+    inst = PreCoalgebraInstance(f"{H.name}[{e_spec},{f_spec},p={p}]",
                                 H.basis, H.ring, delta,
                                 resolve(e_spec), resolve(f_spec), p)
+    if e_spec in ("id", 0) and f_spec in ("S2", 2):
+        inst.g = H.id_minus_antipode_squared()
+    return inst
 
 
 def check_hypotheses(I: PreCoalgebraInstance) -> Report:

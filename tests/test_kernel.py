@@ -915,11 +915,24 @@ def typed(x):
     return {k: typed_value(v) for k, v in x.coeffs.items()}
 
 
-def row_reference(g, d):
-    """The block of degree d held to the mask/``_dot`` step."""
+def unpacked_reference(g, d):
+    """The block of degree d held to the unpacked step, which sums the
+    columns a vector touches by ``_accumulate``."""
     block = DegreeBlock(g, d)
     block.packed = None
     return block
+
+
+def sparse_cells(draw):
+    """Random cells of ``PACK_BASIS``, each degree's block under a quarter
+    nonzero, so that no block packs."""
+    cells = []
+    for labels in PACK_BASIS.degrees:
+        square = [(l, m) for l in labels for m in labels]
+        if square:
+            cells += sorted(draw(st.sets(st.sampled_from(square),
+                                         max_size=(len(square) - 1) // 4)))
+    return cells
 
 
 FRACTIONS = st.fractions(-50, 50, max_denominator=12)
@@ -938,17 +951,19 @@ PACKED_RINGS = [
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_the_row_reference(ring, entries, data):
-    """On dense blocks the chains are the iterated map, and every chain
-    level is the one that the row step finds."""
+    """On dense blocks, and on random blocks under a quarter nonzero, the
+    chains are the iterated map, and every chain level is the one that the
+    unpacked step finds."""
     values = data.draw(st.lists(entries, min_size=len(PACK_CELLS),
                                 max_size=len(PACK_CELLS)))
+    cells = sparse_cells(data.draw) if data.draw(st.booleans()) else PACK_CELLS
     images = {l: {} for l in PACK_BASIS.labels}
-    for (l, m), v in zip(PACK_CELLS, values):
+    for (l, m), v in zip(cells, values):
         images[l][m] = v
     g = GradedMap(PACK_BASIS, ring, {l: Element(PACK_BASIS, ring, c)
                                      for l, c in images.items()})
     for d, labels in enumerate(PACK_BASIS.degrees):
-        block, rows = DegreeBlock(g, d), row_reference(g, d)
+        block, unpacked = DegreeBlock(g, d), unpacked_reference(g, d)
         n = len(labels)
         nonzeros = sum(len(g.images[l].coeffs) for l in labels)
         assert (block.packed is not None) == (_dense(nonzeros, n) and n >= 3)
@@ -970,15 +985,15 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
         assert [typed(x) for x in block.mapped(ys)] == expected
         assert [typed(g(y)) for y in ys] == expected
         # g(y) maps through the one block that g keeps for the degree,
-        # built on first use, packed or row-stepped alike
+        # built on first use, whether it packs or not
         assert (d in g._blocks) == any(not y.is_zero() for y in ys)
         kept = g.block(d)
         assert g.block(d) is kept
         assert (kept.packed is None) == (block.packed is None)
         assert [[(j, typed(block.box(k, j, y, s))) for j, y, s in level]
                 for k, level in enumerate(itertools.islice(block.levels(), 5))] == [
-            [(j, typed(rows.box(k, j, y, s))) for j, y, s in level]
-            for k, level in enumerate(itertools.islice(rows.levels(), 5))]
+            [(j, typed(unpacked.box(k, j, y, s))) for j, y, s in level]
+            for k, level in enumerate(itertools.islice(unpacked.levels(), 5))]
     # an element over several degrees is mapped label by label
     mixed = Element(PACK_BASIS, ring, {"1": values[0], "x": values[1],
                                        "p": values[-1]})
@@ -986,10 +1001,10 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
-def test_sparse_and_tuple_blocks_step_by_rows(ring):
+def test_sparse_and_tuple_blocks_step_through_accumulate(ring):
     """A block under a quarter nonzero, and a dense block over a quotient
-    whose modulus has a non-integer coefficient, keeps the row step; an
-    empty degree has no chain levels."""
+    whose modulus has a non-integer coefficient, does not pack: its steps
+    sum columns by ``_accumulate``.  An empty degree has no chain levels."""
     vec = lambda l, c: Element(PACK_BASIS, ring, {l: c})
     zero = Element.zero(PACK_BASIS, ring)
     images = {l: zero for l in PACK_BASIS.labels}

@@ -116,6 +116,26 @@ def test_negative_maxdeg_rejected_on_its_line(body):
     assert str(exc.value) == "line 4: maxdeg must be >= 0"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("basis 2 aa", "basis degree 2 outside 0..1"),
+    ("basis -1 z", "basis degree -1 outside 0..1"),
+    ("product x 1 = 5 x", "repeated product entry for x 1"),
+    ("coproduct x = 1 x 1 + 1 1 x", "repeated coproduct entry for x"),
+    ("counit 1 = 1", "repeated counit entry for 1"),
+    ("antipode 1 = 1 1\nantipode x = -1 x\nantipode x = 1 x",
+     "repeated antipode entry for x"),
+])
+def test_out_of_range_basis_row_and_repeated_entry_rejected_on_their_line(
+        line, message):
+    """A basis row of a degree the truncation does not have, or a second
+    table entry for the same labels, fails at its line instead of being
+    dropped or overriding the first."""
+    text = TABLES_HEADER + line + "\n"
+    with pytest.raises(SpecFileError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"line {len(text.splitlines())}: {message}"
+
+
 def test_unknown_label_in_table_rejected():
     text = TABLES_HEADER.replace("product x 1 = 1 x", "product x 1 = 1 y")
     with pytest.raises(SpecFileError):

@@ -282,6 +282,24 @@ def test_map_powers_compose_once_per_step(monkeypatch):
         assert len(calls) == max(K - 1, 0)
 
 
+def test_theorem1_and_graded_hopf_share_one_id_minus_s2(monkeypatch):
+    """The hypotheses, the conclusions and the graded-hopf suite of one
+    presentation subtract once: they step the one id - S^2 of H."""
+    H = fqsym(QQ, 5)
+    calls = []
+    sub = GradedMap.__sub__
+    monkeypatch.setattr(GradedMap, "__sub__",
+                        lambda self, other: calls.append(1) or sub(self, other))
+    inst = instance_from_hopf(H, "id", "S2", 2)
+    assert check_hypotheses(inst).ok() and verify_conclusions(inst).ok()
+    assert suite_graded_hopf(H).ok()
+    assert len(calls) == 1
+    assert inst.g is H.id_minus_antipode_squared() is inst.g
+    # any other pair builds its own e - f, once
+    other = instance_from_hopf(H, "S2", "S4", 2)
+    assert other.g is other.g and len(calls) == 2
+
+
 def test_binomial_expansion_fails_with_wrong_coefficients(monkeypatch):
     """With every C(k,r) replaced by 1 the expansion first breaks at k = 2,
     where C(2,1) = 2; the other three checks do not use the coefficients."""
