@@ -24,10 +24,13 @@ block a quarter nonzero (:func:`_packs`) a batch is one
 :func:`_kronecker`, that packs the block's columns into integers (the
 tuples of ``R[q]/(f)`` on two levels); on the others every image, of
 ``compose``, ``__call__`` or a chain step, is summed by
-:func:`_accumulate` over the columns its vector touches.  Exact linear
-algebra runs through one elimination, :func:`_eliminate`, with row steps
-chosen once per ring: it picks the vectors of a chain level that span it
-and finds the kernels of :func:`kernel_vectors`.
+:func:`_accumulate` over the columns its vector touches.  Either way a
+batch maps each distinct vector once, and the positions that repeat it
+share its image.  Exact linear algebra runs through one elimination,
+:func:`_eliminate`, with row steps chosen once per ring: it picks the
+vectors of a chain level that span it and finds the kernels of
+:func:`kernel_vectors`, one group of columns that share row keys at a
+time.
 """
 
 from __future__ import annotations
@@ -636,7 +639,8 @@ class DegreeBlock:
     integer vectors z_k with g^k(x) = z_k / scale**k, boxed in canonical
     form.
 
-    :meth:`_step` maps a batch of raw vectors.  A block that :func:`_packs`
+    :meth:`_step` maps a batch of raw vectors, each distinct vector once,
+    so positions of a batch may share an image.  A block that :func:`_packs`
     keeps its columns packed at the widest slot a batch has needed in
     ``packed``, as (bytes, codec, columns) with the codec of
     :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose f has a
@@ -709,6 +713,12 @@ class DegreeBlock:
         (y, support), support the positions where y is nonzero; returns the
         (image, support) pairs.
 
+        Each distinct y of the batch is mapped once, in order of its first
+        occurrence, and every position that holds it gets that one image
+        (equal inputs of a linear map have equal images): the chain levels
+        of a collapsing g repeat many vectors.  So positions may share an
+        image, and no caller changes one in place.
+
         On a ``packed`` block an image is the sum of y[j] times the packed
         column j (:func:`_kronecker`).  One codec serves the batch: its
         digits are bounded by max|entry| times the largest ||y||_1 of the
@@ -717,10 +727,16 @@ class DegreeBlock:
         of y[j] times column j by :func:`_accumulate`, the kernel that
         ``compose`` and ``__call__`` run there label by label.
         """
+        index, distinct, where = {}, [], []  # y -> its place in distinct
+        for vector in vectors:
+            i = index.setdefault(tuple(vector[0]), len(distinct))
+            if i == len(distinct):
+                distinct.append(vector)
+            where.append(i)
         n = len(self.labels)
         if self.packed is not None:
             flat = self.flat
-            batch = [list(map(y.__getitem__, s)) for y, s in vectors]
+            batch = [list(map(y.__getitem__, s)) for y, s in distinct]
             norm = max((sum(map(abs, flat(ys))) for ys in batch), default=0)
             # the slot bits of _kronecker
             if (self.top * max(norm, 1)).bit_length() + 1 > 8 * self.packed[0]:
@@ -730,15 +746,17 @@ class DegreeBlock:
                     codec[1](list(map(img.coeffs.get, self.labels, zeros)))
                     for img in self.columns]
             _, (_, _, unpack, lift), columns = self.packed
-            out = []
-            for ys, (_, support) in zip(batch, vectors):
+            images = []
+            for ys, (_, support) in zip(batch, distinct):
                 y = unpack(sum(map(mul, ys if lift is None else map(lift, ys),
                                    map(columns.__getitem__, support))))
-                out.append((y, list(compress(range(n), self.nonzero(y)))))
-            return out
-        ring, columns, vector = self.ring, self.columns, self._vector
-        return [vector(_accumulate(ring, ((y[j], columns[j], None) for j in support)))
-                for y, support in vectors]
+                images.append((y, list(compress(range(n), self.nonzero(y)))))
+        else:
+            ring, columns, vector = self.ring, self.columns, self._vector
+            images = [vector(_accumulate(ring, ((y[j], columns[j], None)
+                                                for j in support)))
+                      for y, support in distinct]
+        return [images[i] for i in where]
 
     def levels(self):
         """Yield, for k = 0, 1, 2, ..., the list of ``(j, y, support)`` for
@@ -860,33 +878,59 @@ def kernel_vectors(columns: dict, keys, ring: Ring):
     with t[j] nonzero only on pivot columns.  That relation is unique up to
     a factor, so t / t[c] is exactly the reduced-echelon kernel vector,
     whatever the arithmetic.
+
+    Columns that share no row key, even through other columns, span
+    independent subspaces, so a column is a pivot exactly when it is one
+    among its own group, and its unique relation lives in that group.  So
+    each group of columns joined by shared row keys (such as the labels of
+    one degree under a graded coproduct) is eliminated alone, and the
+    vectors come out in the order of their free column.
     """
     if not ring.is_field:
         raise UnsupportedRingError(f"kernel computation needs a field, got {ring}")
     keys = list(keys)
-    row_index = {}
-    for k in keys:
-        for rk in columns[k]:
-            row_index.setdefault(rk, len(row_index))
     _, raw, rows = _integer_scaling(
         ring, (v for k in keys for v in columns[k].values()))
-    zero, width = rows._zero, len(row_index)
+    steps, zero, one = _row_steps(rows), rows._zero, rows._one
+    # the groups, by union-find on column positions over shared row keys
+    parent, owner = list(range(len(keys))), {}
 
-    def tagged():
-        for c, k in enumerate(keys):
-            v = [zero] * (width + c + 1)
-            for rk, x in columns[k].items():
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for c, k in enumerate(keys):
+        for rk in columns[k]:
+            parent[root(owner.setdefault(rk, c))] = root(c)
+    groups = {}
+    for c in range(len(keys)):
+        groups.setdefault(root(c), []).append(c)
+
+    def tagged(group, row_index):
+        width = len(row_index)
+        for n, c in enumerate(group):
+            v = [zero] * (width + n + 1)
+            for rk, x in columns[keys[c]].items():
                 v[row_index[rk]] = raw(x)
-            v[width + c] = rows._one
+            v[width + n] = one
             yield v
 
-    kernel = []
-    for c, t in enumerate(_eliminate(tagged(), _row_steps(rows), zero, width)):
-        if t is not None:
-            # t / t[c] over ``ring``, keys[c] first; the integer rows of
-            # ``Q`` hold its raw values too
-            t = t[width:]
-            inv = ring._inv(t[c])
-            kernel.append({keys[j]: ring._mul(t[j], inv)
-                           for j in (c, *range(c)) if t[j] != zero})
-    return kernel
+    kernel = {}  # free column -> its kernel vector
+    for group in groups.values():
+        row_index = {}
+        for c in group:
+            for rk in columns[keys[c]]:
+                row_index.setdefault(rk, len(row_index))
+        width = len(row_index)
+        for n, t in enumerate(_eliminate(tagged(group, row_index), steps,
+                                         zero, width)):
+            if t is not None:
+                # t / t[n] over ``ring``, the free column first; the
+                # integer rows of ``Q`` hold its raw values too
+                t = t[width:]
+                inv = ring._inv(t[n])
+                kernel[group[n]] = {keys[group[j]]: ring._mul(t[j], inv)
+                                    for j in (n, *range(n)) if t[j] != zero}
+    return [kernel[c] for c in sorted(kernel)]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 NOT_CHECKED = "not-checked"
@@ -14,16 +12,15 @@ _OK_STATUSES = {PASS, NOT_CHECKED, EXPECTED_NONIDENTITY}
 VACUOUS = "vacuous: no item in scope"
 
 
-@dataclass
 class Check:
-    claim: str
-    statement: str
-    status: str
-    witness: str | None = None
+    """One claim with its status, and the witness of a failure."""
 
-    def __post_init__(self):
-        if self.status == FAIL and self.witness is None:
+    def __init__(self, claim: str, statement: str, status: str,
+                 witness: str | None = None):
+        if status == FAIL and witness is None:
             raise ValueError("a failing check must carry a witness")
+        self.claim, self.statement = claim, statement
+        self.status, self.witness = status, witness
 
     def to_dict(self):
         d = {"claim": self.claim, "statement": self.statement,
@@ -33,10 +30,12 @@ class Check:
         return d
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    """The checks of one suite, in the order they were added."""
+
+    def __init__(self, suite: str, checks: list[Check] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     def add(self, claim, statement, status, witness=None):
         self.checks.append(Check(claim, statement, status, witness))

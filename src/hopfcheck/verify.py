@@ -22,7 +22,6 @@ the levels a check reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import zoo
@@ -38,7 +37,6 @@ from .report import (EXPECTED_NONIDENTITY, FAIL, NOT_CHECKED, PASS, VACUOUS,
 from .specfile import export_presentation
 
 
-@dataclass
 class PreCoalgebraInstance:
     """Concrete data for the generic harness.
 
@@ -47,17 +45,12 @@ class PreCoalgebraInstance:
     tensor-square element.
     """
 
-    name: str
-    basis: GradedBasis
-    ring: Ring
-    delta: dict
-    e: GradedMap
-    f: GradedMap
-    p: int
-
-    def __post_init__(self):
-        require_positive_p(self.p)
-        missing = [l for l in self.basis.labels if l not in self.delta]
+    def __init__(self, name: str, basis: GradedBasis, ring: Ring, delta: dict,
+                 e: GradedMap, f: GradedMap, p: int):
+        self.name, self.basis, self.ring, self.delta = name, basis, ring, delta
+        self.e, self.f, self.p = e, f, p
+        require_positive_p(p)
+        missing = [l for l in basis.labels if l not in delta]
         if missing:
             raise StructuralError(f"delta undefined on labels {missing[:3]}")
         # coefficients are raw values, so each operand's ring is checked here

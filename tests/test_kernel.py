@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcheck import gmod
 from hopfcheck.errors import StructuralError, UnsupportedRingError
 from hopfcheck.gmod import (DegreeBlock, Element, GradedBasis, GradedMap,
                             Tensor2Element, Tensor2Map, _dense, kernel_vectors)
@@ -25,7 +26,8 @@ from hopfcheck.rings import QQ, ZZ, ModRing, PolyQuotientRing
 from hopfcheck.specfile import export_presentation, parse_presentation
 from hopfcheck.verify import (PreCoalgebraInstance, chain_checks,
                               check_hypotheses)
-from hopfcheck.zoo import free_example_abc, shuffle_algebra, tensor_algebra
+from hopfcheck.zoo import (free_example_abc, fqsym, shuffle_algebra,
+                           tensor_algebra)
 
 ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 # a quotient declared a field, and one that is not declared a field
@@ -461,9 +463,19 @@ def kernel_columns(draw, ring, keys, rows):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_kernel_vectors(ring, data):
+    """Columns in up to three groups over disjoint row keys, their keys
+    interleaved: eliminated group by group, the kernel is the one of the
+    single-matrix elimination, vector for vector and in the same key
+    order."""
     keys = [f"k{i}" for i in range(10)]
-    rows = [f"r{i}" for i in range(6)]
-    columns = data.draw(kernel_columns(ring, keys, rows))
+    groups = data.draw(st.integers(1, 3))
+    group_of = data.draw(st.lists(st.integers(0, groups - 1),
+                                  min_size=len(keys), max_size=len(keys)))
+    columns = {}
+    for h in range(groups):
+        columns.update(data.draw(kernel_columns(
+            ring, [k for k, g in zip(keys, group_of) if g == h],
+            [f"r{h}.{i}" for i in range(6)])))
     assert (raw_items(kernel_vectors(unboxed(columns), keys, ring))
             == as_items(naive_kernel_vectors(columns, keys, ring)))
 
@@ -953,7 +965,8 @@ PACKED_RINGS = [
 def test_packed_step_matches_the_row_reference(ring, entries, data):
     """On dense blocks, and on random blocks under a quarter nonzero, the
     chains are the iterated map, and every chain level is the one that the
-    unpacked step finds."""
+    unpacked step finds.  Batches that repeat vectors map to the images of
+    the vectors one at a time, position by position."""
     values = data.draw(st.lists(entries, min_size=len(PACK_CELLS),
                                 max_size=len(PACK_CELLS)))
     cells = sparse_cells(data.draw) if data.draw(st.booleans()) else PACK_CELLS
@@ -981,6 +994,7 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
         ys = [y for label in labels
               for x in [g._apply(Element.basis_vector(PACK_BASIS, ring, label))]
               for y in (x, g._apply(x))]
+        ys += ys[::-1]  # every vector repeated, so a batch maps it once
         expected = [typed(g._apply(y)) for y in ys]
         assert [typed(x) for x in block.mapped(ys)] == expected
         assert [typed(g(y)) for y in ys] == expected
@@ -994,6 +1008,16 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
                 for k, level in enumerate(itertools.islice(block.levels(), 5))] == [
             [(j, typed(unpacked.box(k, j, y, s))) for j, y, s in level]
             for k, level in enumerate(itertools.islice(unpacked.levels(), 5))]
+        # each level with its vectors repeated, as one batch through the
+        # packed and the unpacked step (which lists a support in the order
+        # of its sum), against each vector stepped alone
+        for level in itertools.islice(block.levels(), 5):
+            batch = [(y, s) for _, y, s in level]
+            batch += batch[::-1]
+            alone = [(y, sorted(s)) for y, s in
+                     (block._step([vector])[0] for vector in batch)]
+            for stepped in (block, unpacked):
+                assert [(y, sorted(s)) for y, s in stepped._step(batch)] == alone
     # an element over several degrees is mapped label by label
     mixed = Element(PACK_BASIS, ring, {"1": values[0], "x": values[1],
                                        "p": values[-1]})
@@ -1091,6 +1115,34 @@ def test_packed_quotient_step_digit_at_the_width_bound(ring, bound):
     top, zero = ring._reduce([0, 0, bound]), ring._zero
     assert block._step([([(0, a), (0, a - bound), zero], [0, 1])]) == [
         ([top, ring._neg(top), zero], [0, 1])]
+
+
+def test_fqsym_levels_step_each_distinct_vector_once(monkeypatch):
+    """The degree-5 chain levels of id - S^2 on FQSym over Z collapse:
+    the three steps take batches of 118, 118 and 96 vectors, of which 94,
+    48 and 8 are distinct, and each distinct vector is mapped once, with
+    one product per entry of its support."""
+    block = fqsym(ZZ, 5).id_minus_antipode_squared().block(5)
+    assert block.packed is not None
+    batches, products = [], [0]
+    step, mul = DegreeBlock._step, gmod.mul
+
+    def spy(self, vectors):
+        batches.append(vectors)
+        return step(self, vectors)
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(DegreeBlock, "_step", spy)
+    monkeypatch.setattr(gmod, "mul", counted)
+    assert [len(level) for level in block.levels()] == [120, 118, 118, 96]
+    assert [len(batch) for batch in batches] == [118, 118, 96]
+    distinct = [{tuple(y): support for y, support in batch} for batch in batches]
+    assert [len(vectors) for vectors in distinct] == [94, 48, 8]
+    assert products[0] == sum(len(support) for vectors in distinct
+                              for support in vectors.values())
 
 
 def test_packed_step_keeps_one_packing_at_the_widest_slot():
