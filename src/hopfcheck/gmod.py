@@ -21,16 +21,16 @@ and every application of the map to a degree's vectors goes through it:
 nilpotency chains, which a block steps for all its labels at once.  On a
 block a quarter nonzero (:func:`_packs`) a batch is one
 :meth:`DegreeBlock._step` through one Kronecker codec,
-:func:`_kronecker`, that packs the block's columns into integers (the
-tuples of ``R[q]/(f)`` on two levels); on the others every image, of
-``compose``, ``__call__`` or a chain step, is summed by
-:func:`_accumulate` over the columns its vector touches.  Either way a
-batch maps each distinct vector once, and the positions that repeat it
-share its image.  Exact linear algebra runs through one elimination,
-:func:`_eliminate`, with row steps chosen once per ring: it picks the
-vectors of a chain level that span it and finds the kernels of
-:func:`kernel_vectors`, one group of columns that share row keys at a
-time.
+:func:`_kronecker`, that packs the block's columns into integers, a
+block over ``R[q]/(f)`` as the R-linear map it is on R^(ne); on the
+others every image, of ``compose``, ``__call__`` or a chain step, is
+summed by :func:`_accumulate` over the columns its vector touches.
+Either way a batch maps each distinct vector once, and the positions
+that repeat it share its image.  Exact linear algebra runs through one
+elimination, :func:`_eliminate`, with row steps chosen once per ring: it
+picks the vectors of a chain level that span it and finds the kernels
+of :func:`kernel_vectors`, one group of columns that share row keys at
+a time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import attrgetter, lshift, mul
+from operator import attrgetter, mul
 
 from .errors import StructuralError, UnsupportedRingError
 from .rings import (ZZ, IntegerRing, ModRing, PolyQuotientRing, RationalRing,
@@ -482,34 +482,27 @@ def _packs(nonzeros: int, n: int) -> bool:
 
 
 def _kronecker(n: int, top: int, norm: int, ring: Ring):
-    """The one Kronecker substitution codec (k, pack, unpack, lift) on n
-    slots of k bytes, 8k - 1 >= bit_length(top * max(norm, 1)) (a machine
-    word when one is wide enough), for entries |v| <= ``top`` and
-    combinations of l1-norm <= ``norm``, so every digit is exact.
-    pack(values) is the sum of v_i 2**(8ki), unpack(x) the n digits of a
-    combination x of packed ints, reduced mod m on ``Z/m``; both bias each
-    slot by 2**(8k - 1).  lift is None.
-
-    On ``R[q]/(f)``, e = deg f, the substitution has two levels: slot i is
-    2e - 1 sub-slots, q -> 2**(8k) and label i -> 2**(8k(2e - 1)i).  pack
-    lays the tuple v_i in the first e sub-slots of slot i, a multiplier v
-    enters a combination as lift(v) = sum_t v_t 2**(8kt), so each slot
-    holds a whole unreduced product, and unpack reduces each decoded slot
-    mod f once (``PolyQuotientRing._reduce_slots``).  There ``top`` bounds the
-    entries of the tuples and ``norm`` the l1-norm of all the entries of a
-    combination's multipliers: a digit sums, over the multipliers' entries
-    y_s, terms y_s c_t with s + t fixed, so it is at most top * norm.
+    """The one Kronecker substitution codec (k, pack, unpack) on n e slots
+    of k bytes, e = deg f on ``R[q]/(f)`` and 1 elsewhere, with
+    8k - 1 >= bit_length(top * max(norm, 1)) (a machine word when one is
+    wide enough), for integer entries |v| <= ``top`` and combinations of
+    l1-norm <= ``norm``, so every digit is exact.  pack(values) is the
+    sum of v_i 2**(8ki) over n e integers, unpack(x) the n e digits of a
+    combination x of packed ints, reduced mod m on ``Z/m`` and regrouped
+    into n e-tuples on ``R[q]/(f)``.  There a block packs as the R-linear
+    map on R^(ne) that it is (``PolyQuotientRing._shifts``), so each
+    digit is already reduced mod f.  Both bias each slot by 2**(8k - 1).
     """
     bits = (top * max(norm, 1)).bit_length() + 1
     k = next((w for w in sorted(_WORDS) if 8 * w >= bits), -(-bits // 8))
     e = ring.degree if isinstance(ring, PolyQuotientRing) else 0
-    width = 2 * e - 1 if e else 1
-    slots = n * width
+    slots = n * (e or 1)
     half, order = 1 << (8 * k - 1), sys.byteorder
     bias = int.from_bytes(half.to_bytes(k, order) * slots, order)
     m = ring.m if isinstance(ring, ModRing) else None
 
-    def pack_words(words):
+    def pack(values):
+        words = [v + half for v in values]
         return int.from_bytes(struct.pack(f"{slots}{_WORDS[k]}", *words) if k in _WORDS
                               else b"".join(w.to_bytes(k, order) for w in words),
                               order) - bias
@@ -520,18 +513,7 @@ def _kronecker(n: int, top: int, norm: int, ring: Ring):
                  (int.from_bytes(data[i:i + k], order) for i in range(0, slots * k, k)))
         return [(d - half) % m for d in words] if m else [d - half for d in words]
 
-    if not e:
-        return k, lambda values: pack_words([v + half for v in values]), unpack, None
-    shifts = [8 * k * t for t in range(e)]
-
-    def pack(values):
-        words = [half] * slots
-        for t in range(e):
-            words[t::width] = [v[t] + half for v in values]
-        return pack_words(words)
-
-    return (k, pack, lambda x: ring._reduce_slots(unpack(x), width),
-            lambda v: sum(map(lshift, v, shifts)))
+    return k, pack, (lambda x: list(zip(*[iter(unpack(x))] * e))) if e else unpack
 
 
 def _row_steps(ring: Ring):
@@ -643,10 +625,14 @@ class DegreeBlock:
     so positions of a batch may share an image.  A block that :func:`_packs`
     keeps its columns packed at the widest slot a batch has needed in
     ``packed``, as (bytes, codec, columns) with the codec of
-    :func:`_kronecker` (else None; also on ``Q[q]/(f)`` whose f has a
-    non-integer coefficient).  On the others a step sums the columns that
-    a vector touches by :func:`_accumulate`, as the map's label-by-label
-    application does.
+    :func:`_kronecker` (else None); on ``R[q]/(f)``, e = deg f, column j
+    is the e-tuple of the packed q^s g(x_j) mod f, s < e
+    (``PolyQuotientRing._shifts``), and ``scale``
+    and ``top``, the largest absolute entry, are taken over all of these,
+    so the scale also clears the denominators that reducing by an f with
+    a non-integer coefficient brings in.  On the other blocks a step sums
+    the columns that a vector touches by :func:`_accumulate`, as the
+    map's label-by-label application does.
 
     :meth:`levels` steps every label's chain at once, level by level.
     Over ``Z`` and every field ``steps`` holds the row steps of the exact
@@ -663,8 +649,13 @@ class DegreeBlock:
         self.labels = labels = g.basis.labels_of_degree(d)
         self.index = {l: i for i, l in enumerate(labels)}
         columns = [g.images[l] for l in labels]
-        self.scale, raw, rows = _integer_scaling(
-            ring, chain.from_iterable(x.coeffs.values() for x in columns))
+        packs = _packs(sum(len(x.coeffs) for x in columns), len(labels))
+        values = chain.from_iterable(x.coeffs.values() for x in columns)
+        shifts = packs and isinstance(ring, PolyQuotientRing)
+        if shifts:  # packed, the columns hold every q^s g(x_j) mod f: e
+            # lists of entries, which _integer_scaling reads like tuples
+            values = ring._shifts(list(chain.from_iterable(values)))
+        self.scale, raw, rows = _integer_scaling(ring, values)
         if rows is not ring or self.scale not in (None, 1):
             columns = [Element._of(g.basis, rows, x.coeffs if self.scale == 1 else
                                    {l: raw(c) for l, c in x.coeffs.items()})
@@ -673,15 +664,11 @@ class DegreeBlock:
         self.ring, self.zero, self.one = rows, rows._zero, rows._one
         self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
-        # reducing by an f with a non-integer coefficient would leave the
-        # integer tuples that a chain over Q[q]/(f) is held in
-        packs = _packs(sum(len(x.coeffs) for x in columns), len(labels)) and (
-            not isinstance(ring, PolyQuotientRing)
-            or all(c.__class__ is int for c in ring.modulus))
         self.packed = (0, None, None) if packs else None
         self.flat = _flat(ring)
-        self.top = (max(map(abs, self.flat(chain.from_iterable(
-            x.coeffs.values() for x in columns))), default=0) if packs else None)
+        self.top = None if not packs else max(map(abs, self.flat(
+            map(raw, values) if shifts else
+            chain.from_iterable(x.coeffs.values() for x in columns))), default=0)
 
     def _vector(self, coeffs: dict, raw=None):
         """The raw vector of ``coeffs``, each value through raw when one is
@@ -720,12 +707,14 @@ class DegreeBlock:
         image, and no caller changes one in place.
 
         On a ``packed`` block an image is the sum of y[j] times the packed
-        column j (:func:`_kronecker`).  One codec serves the batch: its
-        digits are bounded by max|entry| times the largest ||y||_1 of the
-        batch, and it is rebuilt only when the kept one is too narrow, as a
-        wider slot is exact too.  On the other blocks an image is the sum
-        of y[j] times column j by :func:`_accumulate`, the kernel that
-        ``compose`` and ``__call__`` run there label by label.
+        column j (:func:`_kronecker`), on ``R[q]/(f)`` of the entry t of
+        y[j] times the packed q^t g(x_j) mod f.  One codec serves the
+        batch: its digits are bounded by ``top`` times the largest l1-norm
+        of the batch's flat entries, and it is rebuilt only when the kept
+        one is too narrow, as a wider slot is exact too.  On the other
+        blocks an image is the sum of y[j] times column j by
+        :func:`_accumulate`, the kernel that ``compose`` and ``__call__``
+        run there label by label.
         """
         index, distinct, where = {}, [], []  # y -> its place in distinct
         for vector in vectors:
@@ -741,15 +730,18 @@ class DegreeBlock:
             # the slot bits of _kronecker
             if (self.top * max(norm, 1)).bit_length() + 1 > 8 * self.packed[0]:
                 codec = _kronecker(n, self.top, norm, self.map.ring)
-                zeros = [self.zero] * n
-                self.packed = codec[0], codec, [
-                    codec[1](list(map(img.coeffs.get, self.labels, zeros)))
-                    for img in self.columns]
-            _, (_, _, unpack, lift), columns = self.packed
+                pack, ring, zeros = codec[1], self.ring, [self.zero] * n
+                entries = (map(img.coeffs.get, self.labels, zeros)
+                           for img in self.columns)
+                self.packed = codec[0], codec, (
+                    [tuple(map(pack, ring._shifts(list(chain.from_iterable(x)))))
+                     for x in entries] if isinstance(ring, PolyQuotientRing)
+                    else list(map(pack, entries)))
+            _, (_, _, unpack), columns = self.packed
             images = []
             for ys, (_, support) in zip(batch, distinct):
-                y = unpack(sum(map(mul, ys if lift is None else map(lift, ys),
-                                   map(columns.__getitem__, support))))
+                y = unpack(sum(map(mul, flat(ys),
+                                   flat(map(columns.__getitem__, support)))))
                 images.append((y, list(compress(range(n), self.nonzero(y)))))
         else:
             ring, columns, vector = self.ring, self.columns, self._vector

@@ -410,23 +410,21 @@ class PolyQuotientRing(Ring):
             return tuple(map(_rational, coeffs[:e]))
         return tuple(coeffs[:e])
 
-    def _reduce_slots(self, coeffs: list, width: int):
-        """The canonical residues mod f of the polynomials held in
-        ``coeffs`` as consecutive runs of ``width`` >= e entries (reduced in
-        place): the long division of :meth:`_reduce`, run on every run at
-        once over strided slices."""
-        e = self.degree
-        for k in range(width - 1, e - 1, -1):
-            top = coeffs[k::width]
-            if any(top):
-                for i, t in enumerate(self._tail, k - e):
-                    if t:
-                        coeffs[i::width] = [x + c * t for x, c in
-                                            zip(coeffs[i::width], top)]
-        residues = zip(*[coeffs[t::width] for t in range(e)])
-        if self._over_q:
-            return [tuple(map(_rational, r)) for r in residues]
-        return list(residues)
+    def _shifts(self, flat: list):
+        """The e lists of the entries of q^s v mod f, s < e, for ``flat``
+        the entries of raw values v laid end to end: the columns of v as the
+        R-linear map on R^e that multiplying by v is.  Ints stay ints under
+        an integer f; under the others entries are made canonical."""
+        e, tail, out = self.degree, self._tail, [flat]
+        canon = any(t.__class__ is not int for t in tail)
+        for _ in range(1, e):  # q v = (0, v_0, ..., v_(e-2)) + v_(e-1) q^e
+            tops, shifted = flat[e - 1::e], [0] * len(flat)
+            for i, t in enumerate(tail):
+                low = flat[i - 1::e] if i else [0] * len(tops)
+                shifted[i::e] = [a + c * t for a, c in zip(low, tops)] if t else low
+            flat = list(map(_rational, shifted)) if canon else shifted
+            out.append(flat)
+        return out
 
     def _canon(self, value):
         return self._reduce([self.base._value(c) for c in value])

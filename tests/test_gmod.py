@@ -189,6 +189,7 @@ def maps_over(entries):
 
 ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 QQ_Q = PolyQuotientRing(QQ, [1, 0, 1])
+QHALF = PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1])
 
 
 @pytest.mark.parametrize("ring, entries", [
@@ -239,13 +240,16 @@ def test_packed_digit_at_the_width_bound(bound):
 
 
 @pytest.mark.parametrize("bound", [2**7 - 1, 2**15 - 1, 2**63 - 1, 2**64 - 1])
-@pytest.mark.parametrize("ring", [ZQ3, QQ_Q], ids=repr)
+@pytest.mark.parametrize("ring", [ZQ3, QQ_Q, QHALF], ids=repr)
 def test_packed_quotient_digit_at_the_width_bound(ring, bound):
     """f(x) = f(y) = q x - q y and g(x) = -g(y) = a q x + b q y with
-    a + b = bound (f(z) = g(z) = 0): before the reduction mod f, every
-    slot of f o g on degree 1 is +-bound q^2, a digit in the last of its
-    2e - 1 sub-slots equal to max|f| * max l1-norm of g, which fills it
-    exactly for bounds 2**(8k - 1) - 1."""
+    a + b = bound (f(z) = g(z) = 0): f o g on degree 1 is +-bound q^2 mod
+    f, the sum of a and b times the packed columns of q f(x) and q f(y).
+    Over ``Z[q]/(1,1,1)`` and ``Q[q]/(1,0,1)`` their entries are 0 and +-1,
+    so a digit is +-bound = max|entry| * max l1-norm of g, which fills
+    its slot exactly for bounds 2**(8k - 1) - 1.  Over ``Q[q]/(1/2,0,1)``
+    q^2 = -1/2, so those columns hold 1/2 and pack only under the block's
+    scale 2, taken over every q^s f(x_j) mod f."""
     basis = GradedBasis([["1"], ["x", "y", "z"]])
     a, b = bound // 3, bound - bound // 3
 
@@ -270,15 +274,15 @@ def test_packed_quotient_digit_at_the_width_bound(ring, bound):
 @pytest.mark.parametrize("modulus", [[Fraction(1, 2), 0, 1],
                                      [1, 0, Fraction(1, 2), 1]], ids=str)
 def test_packed_compose_over_a_non_integer_modulus(modulus):
-    """Reducing by q^2 + 1/2, or by q^3 + q^2/2 + 1, leaves the integers
-    that a packed block holds, so a dense block over such a ring does not
-    pack: it composes label by label, exactly, with scaled (1/3) and
-    integral (scale 1) entries."""
+    """Reducing by q^2 + 1/2, or by q^3 + q^2/2 + 1, brings denominators
+    into q^s g(x_j) mod f, and the block's scale clears them too, so a
+    dense block over such a ring packs and composes exactly, with scaled
+    (1/3) and integral entries."""
     ring = PolyQuotientRing(QQ, modulus)
-    for first in (Fraction(1, 3), 2):  # scaled, and integral (scale 1)
+    for first in (Fraction(1, 3), 2):  # scaled, and integral
         f = block_map(ring, [(first, i % 3, 1 - i % 2) for i in range(len(CELLS))])
         assert typed(f.compose(f)) == typed(applied(f, f))
-        assert f.block(2).packed is None
+        assert f.block(2).packed is not None
 
 
 @given(f=rand_maps(ModRing(5)), a=st.integers(0, 3), b=st.integers(0, 3))

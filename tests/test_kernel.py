@@ -33,7 +33,7 @@ ZQ3 = PolyQuotientRing(ZZ, [1, 1, 1])
 # a quotient declared a field, and one that is not declared a field
 QFIELD = PolyQuotientRing(QQ, [1, 1, 1], irreducible=True)
 QQ_Q = PolyQuotientRing(QQ, [1, 0, 1])
-# a modulus with a non-integer coefficient: reducing by it leaves Z
+# a modulus with a non-integer coefficient: q^s v mod f has denominators
 QHALF = PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1])
 RINGS = [ZZ, QQ, ModRing(5), ModRing(6), ZQ3]
 FIELDS = [QQ, ModRing(5), QFIELD]
@@ -955,6 +955,9 @@ PACKED_RINGS = [
     (ModRing(7), st.integers(-30, 30)),
     (ZQ3, st.tuples(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))),
     (QQ_Q, st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 2)),
+    # a modulus of degree 1, whose values are 1-tuples
+    (PolyQuotientRing(QQ, [Fraction(-1, 2), 1]),
+     st.tuples(st.fractions(-9, 9, max_denominator=6))),
 ]
 
 
@@ -1026,9 +1029,10 @@ def test_packed_step_matches_the_row_reference(ring, entries, data):
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ModRing(6), ModRing(7)], ids=str)
 def test_sparse_and_tuple_blocks_step_through_accumulate(ring):
-    """A block under a quarter nonzero, and a dense block over a quotient
-    whose modulus has a non-integer coefficient, does not pack: its steps
-    sum columns by ``_accumulate``.  An empty degree has no chain levels."""
+    """A block under a quarter nonzero does not pack: its steps sum
+    columns by ``_accumulate``.  A dense block over a quotient whose
+    modulus has a non-integer coefficient packs, and its chains are the
+    iterated map.  An empty degree has no chain levels."""
     vec = lambda l, c: Element(PACK_BASIS, ring, {l: c})
     zero = Element.zero(PACK_BASIS, ring)
     images = {l: zero for l in PACK_BASIS.labels}
@@ -1044,11 +1048,18 @@ def test_sparse_and_tuple_blocks_step_through_accumulate(ring):
         y = g._apply(y)
     assert len(walked) == 5 or y.is_zero()
     dense = GradedMap(PACK_BASIS, QHALF, {
-        l: Element(PACK_BASIS, QHALF, {m: QHALF.element([1, 1]) for m in labels})
-        for labels in PACK_BASIS.degrees for l in labels})
+        l: Element(PACK_BASIS, QHALF, {m: QHALF.element([Fraction(i - j, 3), 1])
+                                       for j, m in enumerate(labels)})
+        for labels in PACK_BASIS.degrees for i, l in enumerate(labels)})
     tuple_block = DegreeBlock(dense, 3)
-    assert _dense(sum(len(dense.images[l].coeffs) for l in tuple_block.labels), 5)
-    assert tuple_block.packed is None
+    assert tuple_block.packed is not None
+    for label in tuple_block.labels:
+        y = Element.basis_vector(PACK_BASIS, QHALF, label)
+        walked = block_chain(tuple_block, label, 5)
+        assert len(walked) == 5
+        for x in walked:
+            assert typed(x) == typed(y)
+            y = dense._apply(y)
     assert list(DegreeBlock(g, 1).levels()) == []
 
 
@@ -1100,10 +1111,10 @@ def test_level_batch_mixing_the_width_bound_decodes_exactly(bound):
 @pytest.mark.parametrize("ring", [ZQ3, QQ_Q], ids=repr)
 def test_packed_quotient_step_digit_at_the_width_bound(ring, bound):
     """g(x) = -g(y) = q x - q y and the vector a q x - b q y with
-    a + b = bound (g(z) = 0): each image is +-bound q^2 before the
-    reduction mod f, a digit in the last of the 2e - 1 sub-slots of its
-    slot that fills it exactly for bounds 2**(8k - 1) - 1, and is
-    +-bound q^2 mod f."""
+    a + b = bound (g(z) = 0): each image is +-bound q^2 mod f, the sum of
+    a and a - bound times the packed columns of q g(x) and q g(y), whose
+    entries are 0 and +-1, so a digit is +-bound and fills its slot
+    exactly for bounds 2**(8k - 1) - 1."""
     basis = GradedBasis([["1"], ["x", "y", "z"]])
     q, minus_q = ring.element([0, 1]).value, ring.element([0, -1]).value
     image = lambda c: Element(basis, ring, c)

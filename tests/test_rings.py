@@ -266,6 +266,31 @@ def test_quotient_dot_of_empty_and_zero_inputs(ring, entries):
         assert_residue(ring, ring._dot(a, b), [Fraction(0)] * ring.degree)
 
 
+@pytest.mark.parametrize("ring, entries", QUOTIENT_KERNELS + [
+    (PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1]),
+     st.fractions(min_value=-20, max_value=20, max_denominator=9))],
+    ids=quotient_ids + ["Q[q]/(1/2,0,1)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_shifts_are_the_products_by_powers_of_q(ring, entries, data):
+    """``_shifts`` of values laid end to end lists, for each s < e, the
+    entries of every q^s v mod f, in order: ints stay ints under an
+    integer f, and a modulus with a fraction gives canonical values."""
+    e = ring.degree
+    values = data.draw(st.lists(st.tuples(*[entries.map(canonical)] * e),
+                                max_size=4))
+    shifts = ring._shifts([c for v in values for c in v])
+    assert len(shifts) == e
+    for s, got in enumerate(shifts):
+        expected = [c for v in values
+                    for c in schoolbook_residue(ring, [0] * s + list(v))]
+        assert got == expected
+        if any(c.__class__ is not int for c in ring.modulus) or all(
+                c.__class__ is int for v in values for c in v):
+            for v, x in zip(got, expected):
+                assert_canonical_rational(v, x)
+
+
 # --- binomial --------------------------------------------------------------
 
 def test_binomial():

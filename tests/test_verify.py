@@ -1,8 +1,11 @@
 """The generic nilpotency harness and its corollary suites."""
 
+import argparse
+
 import pytest
 
 from hopfcheck import verify
+from hopfcheck.cli import SUITES
 from hopfcheck.errors import StructuralError
 from hopfcheck.gmod import DegreeBlock, Element, GradedBasis, GradedMap
 from hopfcheck.reduced import is_primitive, reduced_coproduct_label
@@ -283,8 +286,9 @@ def test_map_powers_compose_once_per_step(monkeypatch):
 
 
 def test_theorem1_and_graded_hopf_share_one_id_minus_s2(monkeypatch):
-    """The hypotheses, the conclusions and the graded-hopf suite of one
-    presentation subtract once: they step the one id - S^2 of H."""
+    """The hypotheses, the conclusions, the graded-hopf suite and the
+    CLI's filtered suite (e = id, f = S^2) of one presentation subtract
+    once: they step the one id - S^2 of H."""
     H = fqsym(QQ, 5)
     calls = []
     sub = GradedMap.__sub__
@@ -293,6 +297,8 @@ def test_theorem1_and_graded_hopf_share_one_id_minus_s2(monkeypatch):
     inst = instance_from_hopf(H, "id", "S2", 2)
     assert check_hypotheses(inst).ok() and verify_conclusions(inst).ok()
     assert suite_graded_hopf(H).ok()
+    [filtered] = SUITES["filtered"][0](H, argparse.Namespace(p=2))
+    assert filtered.ok()
     assert len(calls) == 1
     assert inst.g is H.id_minus_antipode_squared() is inst.g
     # any other pair builds its own e - f, once
