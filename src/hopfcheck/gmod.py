@@ -263,9 +263,11 @@ class Tensor2Element(_Sparse):
 
 class GradedMap:
     """A linear endomap given by its images on all basis labels; each image
-    is homogeneous of its label's degree and over the map's ring."""
+    is homogeneous of its label's degree and over the map's ring.  No map
+    is changed once built, so ``is_identity`` is decided then: the identity
+    applies, composes and acts on tensors by returning the other operand."""
 
-    __slots__ = ("basis", "ring", "images", "_blocks")
+    __slots__ = ("basis", "ring", "images", "_blocks", "is_identity")
 
     def __init__(self, basis: GradedBasis, ring: Ring, images: dict):
         missing = [l for l in basis.labels if l not in images]
@@ -283,6 +285,8 @@ class GradedMap:
                 raise StructuralError(
                     f"image of {label!r} has degree {bad}, "
                     f"violating the degree bound {bound}")
+        self.is_identity = all(len(img.coeffs) == 1 and img.coeffs.get(l) == ring._one
+                               for l, img in images.items())
 
     @classmethod
     def identity(cls, basis, ring):
@@ -299,10 +303,12 @@ class GradedMap:
             raise StructuralError("maps over different modules")
 
     def __call__(self, x: Element) -> Element:
-        """self(x): as a batch of one of the :meth:`block` of x's degree
-        when x is homogeneous and nonzero, else label by label."""
+        """self(x): x on the identity, else one batch of the :meth:`block`
+        of x's degree if x is homogeneous and nonzero, or label by label."""
         if not _same_module(x, self):
             raise StructuralError("argument from a different module")
+        if self.is_identity:
+            return x
         basis = self.basis
         if x.coeffs:
             d = basis._degree_of[next(iter(x.coeffs))]
@@ -323,20 +329,14 @@ class GradedMap:
         return Element.lincomb(self.basis, self.ring,
                                ((c, images[l], None) for l, c in x.coeffs.items()))
 
-    def _is_identity(self) -> bool:
-        """Whether every label is its own image, with coefficient one."""
-        one = self.ring._one
-        return all(len(img.coeffs) == 1 and img.coeffs.get(l, None) == one
-                   for l, img in self.images.items())
-
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other, one batch of the other's images per degree
         (:meth:`DegreeBlock.mapped`); the other factor itself when one
         factor is the identity."""
         self._check(other)
-        if self._is_identity():
+        if self.is_identity:
             return other
-        if other._is_identity():
+        if other.is_identity:
             return self
         images = {}
         for d, labels in enumerate(self.basis.degrees):
@@ -372,10 +372,12 @@ class GradedMap:
         return out
 
     def apply_tensor(self, other: "GradedMap", t: Tensor2Element) -> Tensor2Element:
-        """(self (x) other)(t) without materializing the tensor map."""
+        """(self (x) other)(t), no tensor map built; t if both are the identity."""
         self._check(other)
         if not _same_module(t, self):
             raise StructuralError("argument from a different module")
+        if self.is_identity and other.is_identity:
+            return t
         return Tensor2Element.lincomb(
             self.basis, self.ring,
             ((c, self.images[l1], other.images[l2])
@@ -627,10 +629,10 @@ class DegreeBlock:
     ``packed``, as (bytes, codec, columns) with the codec of
     :func:`_kronecker` (else None); on ``R[q]/(f)``, e = deg f, column j
     is the e-tuple of the packed q^s g(x_j) mod f, s < e
-    (``PolyQuotientRing._shifts``), and ``scale``
-    and ``top``, the largest absolute entry, are taken over all of these,
-    so the scale also clears the denominators that reducing by an f with
-    a non-integer coefficient brings in.  On the other blocks a step sums
+    (``PolyQuotientRing._shifts``), expanded once and kept in ``shifted``;
+    ``scale`` and ``top``, the largest absolute entry, are taken over all
+    of these, so the scale also clears the denominators that reducing by
+    an f with a non-integer coefficient brings in.  On the other blocks a step sums
     the columns that a vector touches by :func:`_accumulate`, as the
     map's label-by-label application does.
 
@@ -641,7 +643,8 @@ class DegreeBlock:
     """
 
     __slots__ = ("map", "labels", "index", "ring", "columns", "packed",
-                 "flat", "top", "scale", "zero", "one", "nonzero", "steps")
+                 "shifted", "flat", "top", "scale", "zero", "one", "nonzero",
+                 "steps")
 
     def __init__(self, g: GradedMap, d: int):
         ring = g.ring
@@ -651,23 +654,27 @@ class DegreeBlock:
         columns = [g.images[l] for l in labels]
         packs = _packs(sum(len(x.coeffs) for x in columns), len(labels))
         values = chain.from_iterable(x.coeffs.values() for x in columns)
-        shifts = packs and isinstance(ring, PolyQuotientRing)
-        if shifts:  # packed, the columns hold every q^s g(x_j) mod f: e
-            # lists of entries, which _integer_scaling reads like tuples
-            values = ring._shifts(list(chain.from_iterable(values)))
+        shifted = None
+        if packs and isinstance(ring, PolyQuotientRing):
+            # each column expanded once, into the e lists of the entries of
+            # q^s g(x_j) mod f, which _integer_scaling reads like tuples
+            shifted = [ring._shifts(list(chain.from_iterable(map(
+                x.coeffs.get, labels, [ring._zero] * len(labels))))) for x in columns]
+            values = chain.from_iterable(shifted)
         self.scale, raw, rows = _integer_scaling(ring, values)
         if rows is not ring or self.scale not in (None, 1):
             columns = [Element._of(g.basis, rows, x.coeffs if self.scale == 1 else
                                    {l: raw(c) for l, c in x.coeffs.items()})
                        for x in columns]
-        self.columns = columns
+            shifted = shifted and [list(map(raw, x)) for x in shifted]
+        self.columns, self.shifted = columns, shifted
         self.ring, self.zero, self.one = rows, rows._zero, rows._one
         self.nonzero = _truths(self.zero)
         self.steps = _row_steps(rows)
         self.packed = (0, None, None) if packs else None
         self.flat = _flat(ring)
         self.top = None if not packs else max(map(abs, self.flat(
-            map(raw, values) if shifts else
+            chain.from_iterable(shifted) if shifted else
             chain.from_iterable(x.coeffs.values() for x in columns))), default=0)
 
     def _vector(self, coeffs: dict, raw=None):
@@ -730,13 +737,11 @@ class DegreeBlock:
             # the slot bits of _kronecker
             if (self.top * max(norm, 1)).bit_length() + 1 > 8 * self.packed[0]:
                 codec = _kronecker(n, self.top, norm, self.map.ring)
-                pack, ring, zeros = codec[1], self.ring, [self.zero] * n
-                entries = (map(img.coeffs.get, self.labels, zeros)
-                           for img in self.columns)
+                pack, zeros = codec[1], [self.zero] * n
                 self.packed = codec[0], codec, (
-                    [tuple(map(pack, ring._shifts(list(chain.from_iterable(x)))))
-                     for x in entries] if isinstance(ring, PolyQuotientRing)
-                    else list(map(pack, entries)))
+                    [tuple(map(pack, x)) for x in self.shifted] if self.shifted
+                    else [pack(map(img.coeffs.get, self.labels, zeros))
+                          for img in self.columns])
             _, (_, _, unpack), columns = self.packed
             images = []
             for ys, (_, support) in zip(batch, distinct):

@@ -4,11 +4,11 @@ The reduced coproduct of an element c is
 
     delta(c) = coproduct(c) - c(x)1 - 1(x)c + counit(c) 1(x)1,
 
-computed literally, as one linear combination of raw coefficients; the
-reduced coproduct of a basis label is computed once and cached on the
-presentation.  On a connected presentation it vanishes exactly on the
-span of the unit together with the primitive elements; these facts are
-what the suites below verify, by comparing elements.
+computed literally, on raw coefficients; delta of a basis label and Ker
+delta are computed once and kept on the presentation, for every suite.
+On a connected presentation it vanishes exactly on the span of the unit
+together with the primitive elements; these facts are what the suites
+below verify, by comparing elements.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import random
 
 from .errors import UnsupportedRingError
-from .gmod import Element, Tensor2Element, kernel_vectors
+from .gmod import Element, Tensor2Element, _nonzero, kernel_vectors
 from .hopf import HopfPresentation
 from .report import FAIL, NOT_CHECKED, PASS, Report, witness_of
 
@@ -28,11 +28,12 @@ def idbar(H: HopfPresentation, x: Element) -> Element:
 
 
 def reduced_coproduct(H: HopfPresentation, x: Element) -> Tensor2Element:
-    ring, one = H.ring, H.unit()
-    minus = ring._neg(ring._one)
-    return Tensor2Element.lincomb(H.basis, ring, (
-        *((c, H.coproduct_of_label(l), None) for l, c in x.coeffs.items()),
-        (minus, x, one), (minus, one, x), (H.counit_value(x), one, one)))
+    ring, one, u = H.ring, H.ring._one, H.unit_label
+    ends = [((l, u), c) for l, c in x.coeffs.items()]
+    ends += [((u, l), c) for l, c in x.coeffs.items()]
+    return Tensor2Element._of(H.basis, ring, _nonzero(ring, H._sum((
+        (one, H.coproduct(x).coeffs.items()), (ring._neg(one), ends),
+        (H.counit_value(x), (((u, u), one),))))))
 
 
 def reduced_coproduct_label(H: HopfPresentation, label: str) -> Tensor2Element:
@@ -73,17 +74,19 @@ def middle_bidegree_failure(label: str, t: Tensor2Element):
 
 
 def verify_delta_factorization(H: HopfPresentation) -> Report:
-    """delta = (idbar (x) idbar) o coproduct on every basis label; the
-    witness of a failing label is the difference of the two sides."""
+    """delta = (idbar (x) idbar) o coproduct on every basis label of a
+    connected H, where idbar kills the unit and fixes the other labels:
+    the right side is the coproduct's terms with no unit factor.  A
+    failing label's witness is the difference of the two sides."""
+    H.require_connected()
     rep = Report(f"delta-factorization({H.name})")
-    bars = {l: idbar(H, H.element(l)) for l in H.basis.labels}
+    u = H.unit_label
 
     def failure(label):
         lhs = reduced_coproduct_label(H, label)
-        rhs = Tensor2Element.lincomb(
-            H.basis, H.ring,
-            ((c, bars[a], bars[b])
-             for (a, b), c in H.coproduct_of_label(label).coeffs.items()))
+        rhs = Tensor2Element._of(H.basis, H.ring, {
+            (a, b): c for (a, b), c in H.coproduct_of_label(label).coeffs.items()
+            if u != a and u != b})
         return None if lhs == rhs else witness_of(label, lhs - rhs)
 
     rep.first_failure("factorization", "delta = (idbar(x)idbar) o coproduct",
@@ -110,48 +113,52 @@ def verify_prim_characterization(H: HopfPresentation, seed: int = 0) -> Report:
     vectors = [H.element(l) for l in labels] + randoms
     deltas = itertools.chain((reduced_coproduct_label(H, l) for l in labels),
                              (reduced_coproduct(H, x) for x in randoms))
+    # each vector's primitivity, tested once for both checks below
+    primitive = [is_primitive(H, x) for x in vectors]
 
     def membership_failure(item):
-        x, delta = item
-        lhs = is_primitive(H, x)
+        x, delta, lhs = item
         rhs = delta.is_zero() and H.counit(x).is_zero()
         return None if lhs == rhs else witness_of(x)
 
     rep.first_failure("membership",
                       "primitive(x) <=> delta(x) = 0 and counit(x) = 0",
-                      zip(vectors, deltas), membership_failure)
+                      zip(vectors, deltas, primitive), membership_failure)
     rep.first_failure(
-        "primitive-counit", "counit vanishes on primitives", vectors,
-        lambda x: witness_of(x, H.counit(x))
-        if is_primitive(H, x) and not H.counit(x).is_zero() else None)
+        "primitive-counit", "counit vanishes on primitives",
+        zip(vectors, primitive),
+        lambda item: witness_of(item[0], H.counit(item[0]))
+        if item[1] and not H.counit(item[0]).is_zero() else None)
 
     one_in_kernel = reduced_coproduct_label(H, H.unit_label).is_zero()
     rep.add("unit-in-kernel", "delta(1) = 0",
             PASS if one_in_kernel else FAIL,
             None if one_in_kernel else witness_of(H.unit_label))
 
+    statement = "over a field: Ker delta on positive degrees is primitive"
     if not H.ring.is_field:
-        rep.add("kernel-primitive",
-                "over a field: Ker delta on positive degrees is primitive",
-                NOT_CHECKED)
+        rep.add("kernel-primitive", statement, NOT_CHECKED,
+                f"ring {H.ring} is not a field")
         return rep
-
-    positive = H.basis.labels_between(1, H.max_degree)
-    columns = {l: reduced_coproduct_label(H, l).coeffs for l in positive}
+    # the unit heads the kernel vectors exactly when delta(1) = 0
     rep.first_failure(
-        "kernel-primitive",
-        "over a field: Ker delta on positive degrees is primitive",
-        (Element(H.basis, H.ring, vec)
-         for vec in kernel_vectors(columns, positive, H.ring)),
+        "kernel-primitive", statement, delta_kernel_vectors(H)[one_in_kernel:],
         lambda x: None if is_primitive(H, x) else witness_of(x))
     return rep
 
 
 def delta_kernel_vectors(H: HopfPresentation):
-    """Spanning vectors of Ker delta across all degrees (field only)."""
+    """Spanning vectors of Ker delta on a connected H (field only), by one
+    elimination per presentation, kept on H: the unit when delta(1) = 0,
+    then those of the positive degrees.  No positive label's delta has the
+    key (1, 1), so this is what eliminating every label's column gives."""
     if not H.ring.is_field:
         raise UnsupportedRingError(f"kernel of delta needs a field, got {H.ring}")
-    labels = H.basis.labels
-    columns = {l: reduced_coproduct_label(H, l).coeffs for l in labels}
-    return [Element(H.basis, H.ring, v)
-            for v in kernel_vectors(columns, labels, H.ring)]
+    H.require_connected()
+    if "_delta_kernel" not in vars(H):
+        positive = H.basis.labels_between(1, H.max_degree)
+        columns = {l: reduced_coproduct_label(H, l).coeffs for l in positive}
+        unit = [] if reduced_coproduct_label(H, H.unit_label).coeffs else [H.unit()]
+        H._delta_kernel = unit + [Element(H.basis, H.ring, vec) for vec
+                                  in kernel_vectors(columns, positive, H.ring)]
+    return H._delta_kernel

@@ -62,6 +62,13 @@ The ``lowered-exponent`` digests at p = 1, in ``golden_reports.json``,
 re-recorded when a premise over an empty scope (there the degrees 2 to
 1) began to pass with the reason ``vacuous: no item in scope``; no other
 byte of those reports changed.
+
+The ``reduced`` digests over rings that are not fields (``Z`` in
+``golden_reports.json`` and ``golden_reports_wide.json``, ``Z[q]/(1,1,1)``
+in ``golden_reports_qring.json``) were re-recorded when the not-checked
+``kernel-primitive`` check began to give the reason ``ring R is not a
+field``, as ``theorem1``'s ``kernel`` check does; no other byte of those
+reports changed.
 """
 
 import ast

@@ -269,6 +269,36 @@ def test_compose_with_a_near_identity_composes_in_full(ring, data):
                 a.images, ring, boxed(b.images[label]))
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=all_ids)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_identity_applies_without_arithmetic(ring, data):
+    """The identity map returns its argument, from ``__call__`` and from
+    ``apply_tensor``, and sums nothing; a map that is the identity on every
+    label but the last one still applies in full, on elements and on the
+    tensor square."""
+    x = data.draw(elements(ring))
+    t = Tensor2Element(B, ring, data.draw(sparse(
+        ring, [(a, b) for a in LABELS for b in LABELS])))
+    e = GradedMap.identity(B, ring)
+    images = dict(e.images)
+    images[LABELS[-1]] = Element(B, ring, {LABELS[-1]: ring.one + ring.one})
+    near = GradedMap(B, ring, images)
+
+    def no_sum(ring, terms):
+        raise AssertionError("the identity summed a linear combination")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gmod, "_accumulate", no_sum)
+        assert e(x) is x and e.apply_tensor(e, t) is t
+    for a, b in ((near, near), (e, near), (near, e)):
+        assert boxed(a(x)) == naive_apply(a.images, ring, boxed(x))
+        assert boxed(a.apply_tensor(b, t)) == naive_sum(ring, (
+            ((k1, k2), c * v * w) for (l1, l2), c in boxed(t).items()
+            for k1, v in boxed(a.images[l1]).items()
+            for k2, w in boxed(b.images[l2]).items()))
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=ids)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())

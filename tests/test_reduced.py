@@ -3,6 +3,7 @@
 import pytest
 
 from hopfcheck.errors import UnsupportedRingError
+from hopfcheck.gmod import kernel_vectors
 from hopfcheck.hopf import HopfPresentation
 from hopfcheck.reduced import (delta_kernel_vectors, idbar, is_primitive,
                                random_elements, reduced_coproduct,
@@ -11,6 +12,8 @@ from hopfcheck.reduced import (delta_kernel_vectors, idbar, is_primitive,
                                verify_delta_factorization,
                                verify_prim_characterization)
 from hopfcheck.rings import QQ, ZZ, ModRing
+from hopfcheck.specfile import export_presentation, parse_presentation
+from hopfcheck.verify import check_hypotheses, instance_from_hopf
 from hopfcheck.zoo import free_example_abc, shuffle_algebra, tensor_algebra
 
 
@@ -64,11 +67,13 @@ def test_prim_characterization_over_rings():
         H = free_example_abc(ring, 3)
         rep = verify_prim_characterization(H)
         assert rep.ok()
-        by_claim = {c.claim: c.status for c in rep.checks}
+        by_claim = {c.claim: (c.status, c.witness) for c in rep.checks}
         if ring.is_field:
-            assert by_claim["kernel-primitive"] == "pass"
+            assert by_claim["kernel-primitive"] == ("pass", None)
         else:
-            assert by_claim["kernel-primitive"] == "not-checked"
+            # the reason theorem1's kernel check gives too
+            assert by_claim["kernel-primitive"] == (
+                "not-checked", f"ring {ring} is not a field")
 
 
 def test_delta_kernel_vectors_are_primitive_or_unit():
@@ -112,6 +117,65 @@ def test_reduced_coproduct_computed_once_per_label(monkeypatch, tmp_path, ring):
     assert code == 0
     labels = tensor_algebra(2, QQ, 4).basis.labels
     assert sorted(computed) == sorted(labels)
+
+
+def test_reduced_and_theorem1_eliminate_ker_delta_once(monkeypatch, tmp_path):
+    """Both suites read the one Ker delta that H keeps: a spy on
+    ``kernel_vectors``, wherever it is bound, sees one call."""
+    from hopfcheck import cli, gmod, reduced, verify
+
+    calls = []
+    eliminate = gmod.kernel_vectors
+
+    def spy(columns, keys, ring):
+        calls.append(list(keys))
+        return eliminate(columns, keys, ring)
+
+    for module in (gmod, reduced, verify):
+        monkeypatch.setattr(module, "kernel_vectors", spy)
+    code = cli.main(["verify", "--algebra", "tensor", "--rank", "2",
+                     "--ring", "Q", "--maxdeg", "6", "--suite", "reduced",
+                     "--suite", "theorem1", "--out", str(tmp_path / "r")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("unit_coproduct", ["1 1 1", "2 1 1"])
+def test_theorem1_kernel_is_the_elimination_of_every_label(unit_coproduct):
+    """theorem1's Ker delta, built from the positive degrees that H keeps,
+    is what eliminating every label's delta gives: the unit vector first
+    as exported, and no unit vector when coproduct(1) = 2 1(x)1 makes
+    delta(1) = 1(x)1 nonzero.  As g(1) = 0, the report alone would not
+    show a unit vector added wrongly."""
+    text = export_presentation(tensor_algebra(2, QQ, 3))
+    assert text.count("\ncoproduct 1 = 1 1 1\n") == 1
+    H = parse_presentation(text.replace("\ncoproduct 1 = 1 1 1\n",
+                                        f"\ncoproduct 1 = {unit_coproduct}\n"))
+    inst = instance_from_hopf(H, "id", "S2", 1)
+    labels = H.basis.labels
+    expected = kernel_vectors({l: inst.delta[l].coeffs for l in labels},
+                              labels, QQ)
+    assert [x.coeffs for x in inst.kernel()] == expected
+    assert (expected[0] == {H.unit_label: 1}) == (unit_coproduct == "1 1 1")
+    statuses = {c.claim: c.status for c in check_hypotheses(inst).checks}
+    assert statuses["kernel"] == "pass"
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=repr)
+def test_prim_characterization_tests_each_vector_once(monkeypatch, ring):
+    """The membership and primitive-counit checks share one primitivity
+    test per vector; over a field the kernel check tests its own."""
+    from hopfcheck import reduced
+
+    H = tensor_algebra(2, ring, 4)
+    tested = []
+    is_primitive = reduced.is_primitive
+    monkeypatch.setattr(reduced, "is_primitive",
+                        lambda H, x: tested.append(x) or is_primitive(H, x))
+    assert verify_prim_characterization(H).ok()
+    kernel = delta_kernel_vectors(H)[1:] if ring.is_field else []
+    assert len(tested) == len(H.basis.labels) + 8 + len(kernel)
+    assert len({id(x) for x in tested}) == len(tested)
 
 
 def test_shuffle_kernel_matches_lyndon_count():
