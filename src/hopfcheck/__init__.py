@@ -7,7 +7,7 @@ from .errors import (ConstructionError, HopfcheckError, ResourceGuardError,
 from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
                    Tensor2Map, kernel_vectors)
 from .hopf import HopfPresentation
-from .reduced import (delta_kernel_vectors, idbar, is_primitive,
+from .reduced import (delta_kernel, delta_kernel_vectors, idbar, is_primitive,
                       reduced_coproduct, reduced_coproduct_label,
                       verify_delta_degree_bound, verify_delta_factorization,
                       verify_prim_characterization)
@@ -23,7 +23,7 @@ from .verify import (PreCoalgebraInstance, binomial_identity_check,
                      suite_antipode_props, suite_corollary_filtered,
                      suite_graded_hopf, suite_lowered_exponent,
                      suite_oracle_agreement, suite_taft_remark,
-                     verify_conclusions)
+                     verify_conclusions, verify_theorem)
 from .zoo import (CONNECTED_ZOO, ZOO, build_algebra, free_bialgebra,
                   free_example_abc, fqsym, shuffle_algebra, taft,
                   tensor_algebra)

@@ -5,7 +5,8 @@ The reduced coproduct of an element c is
     delta(c) = coproduct(c) - c(x)1 - 1(x)c + counit(c) 1(x)1,
 
 computed literally, on raw coefficients; delta of a basis label and Ker
-delta are computed once and kept on the presentation, for every suite.
+delta (by :func:`delta_kernel`, the one routine for it) are computed once
+and kept on the presentation, for every suite.
 On a connected presentation it vanishes exactly on the span of the unit
 together with the primitive elements; these facts are what the suites
 below verify, by comparing elements.
@@ -147,18 +148,22 @@ def verify_prim_characterization(H: HopfPresentation, seed: int = 0) -> Report:
     return rep
 
 
+def delta_kernel(basis, ring, delta: dict) -> list:
+    """Ker delta over a field, for ``delta`` a dict from every label of
+    ``basis`` to its image: :func:`kernel_vectors` of all labels, the one
+    routine for a presentation's delta and an instance's.  A label with
+    delta zero, such as a connected unit, is a kernel vector of its own."""
+    return [Element(basis, ring, vec) for vec in kernel_vectors(
+        {l: delta[l].coeffs for l in basis.labels}, basis.labels, ring)]
+
+
 def delta_kernel_vectors(H: HopfPresentation):
-    """Spanning vectors of Ker delta on a connected H (field only), by one
-    elimination per presentation, kept on H: the unit when delta(1) = 0,
-    then those of the positive degrees.  No positive label's delta has the
-    key (1, 1), so this is what eliminating every label's column gives."""
+    """:func:`delta_kernel` of the reduced coproduct of a connected H (a
+    field only), computed once and kept on H, for every suite."""
     if not H.ring.is_field:
         raise UnsupportedRingError(f"kernel of delta needs a field, got {H.ring}")
     H.require_connected()
     if "_delta_kernel" not in vars(H):
-        positive = H.basis.labels_between(1, H.max_degree)
-        columns = {l: reduced_coproduct_label(H, l).coeffs for l in positive}
-        unit = [] if reduced_coproduct_label(H, H.unit_label).coeffs else [H.unit()]
-        H._delta_kernel = unit + [Element(H.basis, H.ring, vec) for vec
-                                  in kernel_vectors(columns, positive, H.ring)]
+        H._delta_kernel = delta_kernel(H.basis, H.ring, {
+            l: reduced_coproduct_label(H, l) for l in H.basis.labels})
     return H._delta_kernel

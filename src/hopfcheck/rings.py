@@ -371,7 +371,8 @@ class PolyQuotientRing(Ring):
     (:meth:`_reduce`); sums and negations map the base operation over the
     entries.  Irreducibility over Q is caller-asserted via ``irreducible``
     (:func:`ring_from_string` decides it where that is cheap); the ring is
-    a field exactly when the base is Q and that flag is set.
+    a field exactly when the base is Q and that flag is set, and then
+    :meth:`_inv` solves through the one exact eliminator of ``gmod``.
     """
 
     def __init__(self, base: Ring, modulus, irreducible: bool = False):
@@ -468,20 +469,20 @@ class PolyQuotientRing(Ring):
         return self._reduce(out)
 
     def _inv(self, a):
+        """The x with a x = 1: of the kernel vectors, over Q, of the columns
+        q^s a mod f (s < e) and -1, the one whose free column is the last.
+        A zero divisor has none: a R is a proper ideal, so 1 is not in it."""
         if not self.is_field:
             raise UnsupportedRingError(f"{self} is not (declared) a field")
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in Q[q] against the modulus
-        r0, s0 = list(self.modulus), [Fraction(0)]
-        r1, s1 = [Fraction(c) for c in a], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd; a unit since the modulus is irreducible
-        lead = r0[_poly_deg(r0)]
-        return self._canon([c / lead for c in s0])
+        # a local import: gmod imports this module
+        from .gmod import kernel_vectors
+        e = self.degree
+        columns = dict(enumerate([{i: c for i, c in enumerate(shift) if c}
+                                  for shift in self._shifts(list(a))] + [{0: -1}]))
+        for x in kernel_vectors(columns, range(e + 1), self.base):
+            if e in x:
+                return tuple(x.get(s, 0) for s in range(e))
+        raise ZeroDivisionError(f"{self.format_value(a)} is not a unit of {self}")
 
     def format_value(self, value):
         return "(" + ",".join(self.base.format_value(c) for c in value) + ")"
@@ -502,41 +503,6 @@ class PolyQuotientRing(Ring):
     def __repr__(self):
         coeffs = ",".join(self.base.format_value(c) for c in self.modulus)
         return f"{self.base}[q]/({coeffs})"
-
-
-def _poly_deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    db = _poly_deg(b)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while _poly_deg(a) >= db:
-        da = _poly_deg(a)
-        c = a[da] / b[db]
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-    return q, a
 
 
 ZZ = IntegerRing()

@@ -6,7 +6,8 @@ endomaps e, f that intertwine delta and agree on Ker delta.  If e - f
 annihilates D_1 + ... + D_p and delta respects the grading, then for every
 u > p the map (e-f)^(u-p) sends D_u into Ker delta and (e-f)^(u-p+1)
 annihilates D_u.  ``check_hypotheses`` audits the assumptions on an
-instance, ``verify_conclusions`` checks the conclusions exactly, and
+instance, ``verify_conclusions`` checks the conclusions exactly,
+``verify_theorem`` runs the second only when the first fails nothing, and
 ``binomial_identity_check`` verifies the operator-level binomial expansion
 that drives the proof.
 
@@ -27,10 +28,10 @@ from functools import cached_property
 from . import zoo
 from .errors import StructuralError
 from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
-                   _same_module, kernel_vectors, tensor_sum_vanishes)
+                   _same_module, tensor_sum_vanishes)
 from .hopf import HopfPresentation
 from .rings import Ring, binomial, is_prime
-from .reduced import (delta_kernel_vectors, is_primitive,
+from .reduced import (delta_kernel, delta_kernel_vectors, is_primitive,
                       middle_bidegree_failure, reduced_coproduct_label)
 from .report import (EXPECTED_NONIDENTITY, FAIL, NOT_CHECKED, PASS, VACUOUS,
                      Report, witness_of)
@@ -77,11 +78,9 @@ class PreCoalgebraInstance:
             ((c, self.delta[l], None) for l, c in x.coeffs.items()))
 
     def kernel(self) -> list:
-        """Spanning vectors of Ker delta (a field only); an instance from
-        ``instance_from_hopf`` reads its presentation's instead."""
-        labels = self.basis.labels
-        return [Element(self.basis, self.ring, vec) for vec in kernel_vectors(
-            {l: self.delta[l].coeffs for l in labels}, labels, self.ring)]
+        """Spanning vectors of Ker delta (a field only), by :func:`delta_kernel`;
+        an instance from ``instance_from_hopf`` reads its presentation's."""
+        return delta_kernel(self.basis, self.ring, self.delta)
 
 
 def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
@@ -250,6 +249,19 @@ def verify_conclusions(I: PreCoalgebraInstance) -> Report:
         ("nilpotency", "(e-f)^(u-p+1)(D_u) = 0", I.p + 1, 1, _nonzero),
     ))
     return rep
+
+
+def verify_theorem(I: PreCoalgebraInstance) -> list:
+    """The reports of :func:`check_hypotheses` and, unless a hypothesis
+    failed, of :func:`verify_conclusions`; after a failed hypothesis the
+    conclusions are one not-checked check that names the first."""
+    hypotheses = check_hypotheses(I)
+    if hypotheses.ok():
+        return [hypotheses, verify_conclusions(I)]
+    rep = Report(f"theorem-conclusions({I.name})")
+    rep.add("conclusions", "skipped: a hypothesis failed", NOT_CHECKED,
+            f"hypothesis {hypotheses.failures()[0].claim} failed")
+    return [hypotheses, rep]
 
 
 def _powers(phi: GradedMap, K: int):

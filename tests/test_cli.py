@@ -51,6 +51,27 @@ def test_lowered_exponent_fails_on_abc(capsys):
     assert "'c'" in out  # the witness label
 
 
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_theorem1_concludes_nothing_after_a_failed_hypothesis(capsys, p):
+    """abc over Z fails the annihilation hypothesis at p = 2, so the
+    conclusions are one not-checked check naming it, never a FAIL.  At
+    p = 1 the only hypothesis not passed is the not-checked kernel check
+    over Z, which does not gate: the conclusions run and pass."""
+    code, out, _ = run(capsys, "verify", "--algebra", "abc", "--maxdeg", "4",
+                       "--suite", "theorem1", "--p", p, "--format", "structured")
+    hypotheses, conclusions = json.loads(out)["suites"]
+    failed = [c["claim"] for c in hypotheses["checks"] if c["status"] == "fail"]
+    if p == "2":
+        assert code == 2 and failed == ["annihilation"]
+        assert conclusions["checks"] == [{
+            "claim": "conclusions", "statement": "skipped: a hypothesis failed",
+            "status": "not-checked", "witness": "hypothesis annihilation failed"}]
+    else:
+        assert code == 0 and failed == []
+        assert [(c["claim"], c["status"]) for c in conclusions["checks"]] == [
+            ("into-kernel", "pass"), ("nilpotency", "pass")]
+
+
 # --- exit code 1: configuration errors ------------------------------------
 
 def test_bad_ring_is_config_error(capsys):

@@ -69,6 +69,14 @@ in ``golden_reports_qring.json``) were re-recorded when the not-checked
 ``kernel-primitive`` check began to give the reason ``ring R is not a
 field``, as ``theorem1``'s ``kernel`` check does; no other byte of those
 reports changed.
+
+The ``theorem1`` digests of every input that fails a hypothesis (3 in
+``golden_reports.json``, 17 in ``golden_reports_wide.json``, 34 in
+``golden_reports_fields.json`` and 1 in ``golden_reports_qring.json``)
+were re-recorded when a failed hypothesis began to leave the conclusions
+one not-checked ``conclusions`` check that names it, in place of
+``into-kernel`` and ``nilpotency``; the hypotheses report, the exit code
+and every other byte of those reports are unchanged.
 """
 
 import ast

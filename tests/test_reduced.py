@@ -121,7 +121,8 @@ def test_reduced_coproduct_computed_once_per_label(monkeypatch, tmp_path, ring):
 
 def test_reduced_and_theorem1_eliminate_ker_delta_once(monkeypatch, tmp_path):
     """Both suites read the one Ker delta that H keeps: a spy on
-    ``kernel_vectors``, wherever it is bound, sees one call."""
+    ``kernel_vectors``, wherever it is bound, sees one call.  ``verify``
+    reaches it only through ``reduced.delta_kernel``, and binds no copy."""
     from hopfcheck import cli, gmod, reduced, verify
 
     calls = []
@@ -131,7 +132,8 @@ def test_reduced_and_theorem1_eliminate_ker_delta_once(monkeypatch, tmp_path):
         calls.append(list(keys))
         return eliminate(columns, keys, ring)
 
-    for module in (gmod, reduced, verify):
+    assert not hasattr(verify, "kernel_vectors")
+    for module in (gmod, reduced):
         monkeypatch.setattr(module, "kernel_vectors", spy)
     code = cli.main(["verify", "--algebra", "tensor", "--rank", "2",
                      "--ring", "Q", "--maxdeg", "6", "--suite", "reduced",

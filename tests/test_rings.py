@@ -163,19 +163,33 @@ def test_rational_raw_values_are_ints_exactly_when_integral(a, b, xs, ys, k):
     assert_canonical_rational(QQ.embed(A.numerator).value, Fraction(A.numerator))
 
 
-@pytest.mark.parametrize("ring", [PolyQuotientRing(QQ, [1, 0, 1],
-                                                   irreducible=True),
-                                  QEISENSTEIN], ids=repr)
-@given(a=RATIONALS, b=RATIONALS)
-def test_quotient_inverse_holds_canonical_rationals(ring, a, b):
+@pytest.mark.parametrize("ring", [
+    PolyQuotientRing(QQ, [1, 0, 1], irreducible=True), QEISENSTEIN,
+    # a cubic field, and a modulus with a non-integer coefficient
+    PolyQuotientRing(QQ, [2, 0, 0, 1], irreducible=True),
+    PolyQuotientRing(QQ, [Fraction(1, 2), 0, 1], irreducible=True)], ids=repr)
+@given(coeffs=st.lists(RATIONALS, min_size=3, max_size=3))
+def test_quotient_inverse_holds_canonical_rationals(ring, coeffs):
     """``_inv`` itself returns canonical base values; ``_mul`` would
     re-normalize them, so the raw result is checked directly."""
-    if a == 0 and b == 0:
+    a = tuple(coeffs[:ring.degree])
+    if not any(a):
         return
-    inv = ring._inv((a, b))
+    inv = ring._inv(a)
+    assert len(inv) == ring.degree
     for c in inv:
         assert type(c) is type(QQ._canon(c)) and c == QQ._canon(c)
-    assert ring._mul((a, b), inv) == ring._one
+    assert ring._mul(a, inv) == ring._one
+
+
+def test_quotient_inverse_of_a_zero_divisor_raises():
+    """q^2 - 1 = (q - 1)(q + 1), so q - 1 has no inverse, even in a
+    quotient declared a field; the unit q is its own inverse there."""
+    ring = PolyQuotientRing(QQ, [-1, 0, 1], irreducible=True)
+    for zero_divisor in ((-1, 1), (1, 1), (0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            ring._inv(zero_divisor)
+    assert ring._inv((0, 1)) == (0, 1)
 
 
 # --- quotient-ring kernels against schoolbook arithmetic --------------------
