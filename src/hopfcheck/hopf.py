@@ -1,18 +1,26 @@
 """Hopf algebra presentations by structure constants, truncated at degree N.
 
-A presentation supplies rules for the product of two basis labels, the
-coproduct of a label, the counit on degree-0 labels and the distinguished
-unit label.  Rules may be backed by explicit tables or computed lazily;
-results are cached and validated (grading and ring) on first use.  Products,
-products in the tensor square, the antipode recursions and the axiom checks
-sum rows on the indices of the ``n`` labels in basis order: product row
-``i * n + j`` holds ``(k, raw)`` terms, coproduct row ``i`` the columns
-``a * n + b``, ``a``, ``b``, raw.  A row is filled on its entry's first read,
-which goes through ``product_of_labels`` / ``coproduct_of_label``; later
-reads take the row.  Sums go into one raw-value dict on integer keys
-(``a * n + b``, or ``(a * n + b) * n + c`` on triple tensors), and labels
-come back only in what is returned; a failing check's witness is built from
-the boxed elements it compared.
+A presentation supplies rules on the indices of its ``n`` basis labels in
+basis order, the counit on degree-0 labels and the distinguished unit
+label.  ``product_rule(i, j)`` returns the terms ``(k, raw)`` of the
+product of labels i and j, or None when the table has no entry;
+``coproduct_rule(i)`` returns the terms ``(a, b, raw)`` of the coproduct
+of label i.  A rule's terms have distinct keys and nonzero canonical raw
+values of the ring.  Each rule is called on its entry's first read, and
+its result becomes a row, checked there once on indices against the
+degree array: product row ``i * n + j`` holds the ``(k, raw)`` terms,
+coproduct row ``i`` the columns ``a * n + b``, ``a``, ``b``, raw.  The
+rows are the only structure table.  ``product_of_labels`` and
+``coproduct_of_label`` are views built from them and kept, for witnesses,
+``export`` and callers.  Rules on labels that return elements go through
+one adapter, :meth:`HopfPresentation.from_label_rules`, which ring-checks
+and indexes each element once.
+
+Products, products in the tensor square, the antipode recursions and the
+axiom checks sum rows into one raw-value dict on integer keys (``a * n +
+b``, or ``(a * n + b) * n + c`` on triple tensors), and labels come back
+only in what is returned; a failing check's witness is built from the
+boxed elements it compared.
 
 The antipode of a connected presentation is built by the degree recursion
 coming from the left antipode axiom, with an independent second recursion
@@ -63,17 +71,38 @@ class HopfPresentation:
                          if basis.degree_of(l) == 0}
         self._antipode_rule = antipode_rule
         self._product_total = product_total
-        self._product_cache: dict = {}
-        self._coproduct_cache: dict = {}
         self._n = len(basis.labels)
         self._index = {l: i for i, l in enumerate(basis.labels)}
+        self._deg = [basis._degree_of[l] for l in basis.labels]
         self._eps = {self._index[l]: v for l, v in self._counit0.items()}
         self._prows, self._distinct = _Rows(self._product_row), {}
         self._crows = _Rows(self._coproduct_row)
+        self._product_views = _Rows(lambda key: self._labelled(dict(self._prows[key])))
+        self._coproduct_views = _Rows(lambda i: self._labelled(
+            dict(zip(*self._crows[i][::3])), tensor=True))
         self._antipode: GradedMap | None = None
         self._antipode_right: GradedMap | None = None
         self._antipode_squared: GradedMap | None = None
         self._id_minus_antipode_squared: GradedMap | None = None
+
+    @classmethod
+    def from_label_rules(cls, name: str, basis: GradedBasis, ring: Ring,
+                         product_rule, coproduct_rule, *args, **kwargs):
+        """The presentation of rules on labels, its other arguments the
+        constructor's: ``product_rule(l1, l2)`` returns an Element (None for
+        no entry), ``coproduct_rule(l)`` a Tensor2Element.  Each element is
+        ring-checked and indexed once, when its row is filled."""
+        labels = basis.labels
+
+        def indexed(x):
+            if x is not None:
+                _check_ring(ring, x)
+                return H._indexed(x)
+
+        H = cls(name, basis, ring,
+                lambda i, j: indexed(product_rule(labels[i], labels[j])),
+                lambda i: indexed(coproduct_rule(labels[i])), *args, **kwargs)
+        return H
 
     # basic accessors -----------------------------------------------------
     @property
@@ -92,54 +121,55 @@ class HopfPresentation:
     def degree_of(self, label: str) -> int:
         return self.basis.degree_of(label)
 
-    # structure maps ------------------------------------------------------
+    def _key(self, label: str) -> int:
+        """The index of a basis label."""
+        try:
+            return self._index[label]
+        except KeyError:
+            raise StructuralError(f"unknown basis label {label!r}") from None
+
+    # structure maps: views of the rows, for witnesses and callers --------
     def product_of_labels(self, l1: str, l2: str) -> Element:
-        key = (l1, l2)
-        cached = self._product_cache.get(key)
-        if cached is not None:
-            return cached
-        d = self.degree_of(l1) + self.degree_of(l2)
-        if d > self.max_degree and not self._product_total:
-            raise TruncationError(
-                f"product {l1!r}*{l2!r} has degree {d} > truncation {self.max_degree}")
-        result = self._product_rule(l1, l2)
-        if result is None:
-            raise TruncationError(
-                f"product table has no entry for {l1!r}*{l2!r} (degree {d})")
-        _check_ring(self.ring, result)
-        if d <= self.max_degree:
-            bad = result.degrees() - {d}
-            if bad:
-                raise StructuralError(
-                    f"product {l1!r}*{l2!r} not homogeneous of degree {d}")
-        self._product_cache[key] = result
-        return result
+        return self._product_views[self._key(l1) * self._n + self._key(l2)]
 
     def coproduct_of_label(self, label: str) -> Tensor2Element:
-        cached = self._coproduct_cache.get(label)
-        if cached is not None:
-            return cached
-        result = self._coproduct_rule(label)
-        _check_ring(self.ring, result)
-        n = self.degree_of(label)
-        bad = {bd for bd in result.bidegree_support() if bd[0] + bd[1] != n}
-        if bad:
-            raise StructuralError(
-                f"coproduct of {label!r} has off-degree support {sorted(bad)}")
-        self._coproduct_cache[label] = result
-        return result
+        return self._coproduct_views[self._key(label)]
 
     # rows keyed by label indices ----------------------------------------
     def _product_row(self, key: int):
-        labels = map(self.basis.labels.__getitem__, divmod(key, self._n))
-        row = self._indexed(self.product_of_labels(*labels))
+        """The rule's terms (k, raw) of entry ``key``, checked once here."""
+        i, j = divmod(key, self._n)
+        deg, top = self._deg, self.basis.max_degree
+        d = deg[i] + deg[j]
+        if d > top and not self._product_total:
+            raise TruncationError(f"product {self._pair(i, j)} has degree {d} "
+                                  f"> truncation {top}")
+        row = self._product_rule(i, j)
+        if row is None:
+            raise TruncationError(f"product table has no entry for "
+                                  f"{self._pair(i, j)} (degree {d})")
+        row = tuple(row)
+        if d <= top:
+            for k, _ in row:
+                if deg[k] != d:
+                    raise StructuralError(f"product {self._pair(i, j)} not "
+                                          f"homogeneous of degree {d}")
         return self._distinct.setdefault(row, row)  # equal rows shared
 
+    def _pair(self, i: int, j: int) -> str:
+        return f"{self.basis.labels[i]!r}*{self.basis.labels[j]!r}"
+
     def _coproduct_row(self, i: int):
-        """The columns a * n + b (an int64 array: no int objects kept), a, b,
-        raw of the terms; row[1:] zips to (a, b, raw), row[::3] to (key, raw)."""
-        terms = self._indexed(self.coproduct_of_label(self.basis.labels[i]))
-        a, b, raw = zip(*terms) if terms else ((), (), ())
+        """The rule's terms (a, b, raw) of label i, checked once here, as
+        the columns a * n + b (an int64 array: no int objects kept), a, b,
+        raw; row[1:] zips to (a, b, raw), row[::3] to (key, raw)."""
+        a, b, raw = tuple(zip(*self._coproduct_rule(i))) or ((), (), ())
+        degree = self._deg.__getitem__
+        if set(map(add, map(degree, a), map(degree, b))) - {degree(i)}:
+            bad = {(degree(x), degree(y)) for x, y in zip(a, b)
+                   if degree(x) + degree(y) != degree(i)}
+            raise StructuralError(f"coproduct of {self.basis.labels[i]!r} "
+                                  f"has off-degree support {sorted(bad)}")
         return array("q", map(add, map(self._n.__mul__, a), b)), a, b, raw
 
     def _indexed(self, x):
@@ -199,9 +229,9 @@ class HopfPresentation:
                                         for i, c1 in self._indexed(x) for j, c2 in ys))
 
     def coproduct(self, x: Element) -> Tensor2Element:
-        """The coproduct of x; of one label with coefficient one, its table entry.
-        Summed on label pairs, which the result is keyed by: converting rows
-        and keys measured slower here."""
+        """The coproduct of x; of one label with coefficient one, its row's view.
+        Summed on the views' label pairs, which the result is keyed by:
+        summing rows and boxing the keys measured slower here."""
         ring, cop = self.ring, self.coproduct_of_label
         _check_ring(ring, x)
         if len(x.coeffs) == 1 and ring._one in x.coeffs.values():

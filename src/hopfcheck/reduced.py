@@ -4,9 +4,10 @@ The reduced coproduct of an element c is
 
     delta(c) = coproduct(c) - c(x)1 - 1(x)c + counit(c) 1(x)1,
 
-computed literally, on raw coefficients; delta of a basis label and Ker
-delta (by :func:`delta_kernel`, the one routine for it) are computed once
-and kept on the presentation, for every suite.
+computed literally, on raw coefficients summed from the coproduct rows;
+delta of a basis label, with whether it lies in the middle bidegrees,
+and Ker delta (by :func:`delta_kernel`, the one routine for it) are
+computed once and kept on the presentation, for every suite.
 On a connected presentation it vanishes exactly on the span of the unit
 together with the primitive elements; these facts are what the suites
 below verify, by comparing elements.
@@ -18,7 +19,7 @@ import itertools
 import random
 
 from .errors import UnsupportedRingError
-from .gmod import Element, Tensor2Element, _nonzero, kernel_vectors
+from .gmod import Element, Tensor2Element, _check_ring, _nonzero, kernel_vectors
 from .hopf import HopfPresentation
 from .report import FAIL, NOT_CHECKED, PASS, Report, witness_of
 
@@ -29,27 +30,76 @@ def idbar(H: HopfPresentation, x: Element) -> Element:
 
 
 def reduced_coproduct(H: HopfPresentation, x: Element) -> Tensor2Element:
-    ring, one, u = H.ring, H.ring._one, H.unit_label
-    ends = [((l, u), c) for l, c in x.coeffs.items()]
-    ends += [((u, l), c) for l, c in x.coeffs.items()]
-    return Tensor2Element._of(H.basis, ring, _nonzero(ring, H._sum((
-        (one, H.coproduct(x).coeffs.items()), (ring._neg(one), ends),
-        (H.counit_value(x), (((u, u), one),))))))
+    """delta(x) by its literal formula, summed on the coproduct rows."""
+    _check_ring(H.ring, x)
+    ring, n, crows, terms = H.ring, H._n, H._crows, H._indexed(x)
+    u, one, neg = H._index[H.unit_label], ring._one, ring._neg
+    return H._labelled(H._sum(itertools.chain(
+        ((c, zip(*crows[i][::3])) for i, c in terms),
+        [(neg(c), ((i * n + u, one),)) for i, c in terms],
+        [(neg(c), ((u * n + i, one),)) for i, c in terms],
+        [(H.counit_value(x), ((u * n + u, one),))])), tensor=True)
+
+
+def _label_delta(H: HopfPresentation, label: str):
+    """:func:`_delta_facts` of a basis label, computed on first read and
+    kept on H, as its structure rows are."""
+    cache = vars(H).setdefault("_label_deltas", {})
+    facts = cache.get(label)
+    if facts is None:
+        facts = cache[label] = _delta_facts(H, label)
+    return facts
+
+
+def _delta_facts(H: HopfPresentation, label: str):
+    """delta of a basis label as the raw dict on a * n + b of its literal
+    formula, read from the coproduct row; that delta boxed; and the witness
+    of :func:`middle_bidegree_failure` on it, decided on the degree array.
+    A row holds no zero, so only the three terms added to it can vanish."""
+    ring, n, labels, deg = H.ring, H._n, H.basis.labels, H._deg
+    i, u, zero = H._key(label), H._index[H.unit_label], ring._zero
+    keys, _, _, raw = H._crows[i]
+    acc, minus_one = dict(zip(keys, raw)), ring._neg(ring._one)
+    for key, c in ((i * n + u, minus_one), (u * n + i, minus_one),
+                   (u * n + u, H._eps.get(i, zero))):
+        if key in acc:
+            c = ring._add(acc[key], c)
+        if c == zero:
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+    delta = Tensor2Element._of(H.basis, ring, {
+        (labels[k // n], labels[k % n]): v for k, v in acc.items()})
+    d = deg[i]
+    outside = ({(deg[k // n], deg[k % n]) for k in acc}
+               - {(j, d - j) for j in range(1, d)})
+    return acc, delta, witness_of(label, sorted(outside)) if outside else None
 
 
 def reduced_coproduct_label(H: HopfPresentation, label: str) -> Tensor2Element:
-    """delta of a basis label, computed on first read and cached on H, as
-    its structure tables are."""
-    cache = vars(H).setdefault("_reduced_coproduct_cache", {})
-    delta = cache.get(label)
-    if delta is None:
-        delta = cache[label] = reduced_coproduct(H, H.element(label))
-    return delta
+    """delta of a basis label, computed once (:func:`_label_delta`)."""
+    return _label_delta(H, label)[1]
+
+
+def delta_grading_failure(H: HopfPresentation, label: str):
+    """:func:`middle_bidegree_failure` of delta on a basis label, decided
+    once beside it (:func:`_label_delta`)."""
+    return _label_delta(H, label)[2]
 
 
 def is_primitive(H: HopfPresentation, x: Element) -> bool:
-    one = H.unit()
-    return H.coproduct(x) == x.tensor(one) + one.tensor(x)
+    """coproduct(x) = x(x)1 + 1(x)x, compared term by term as raw dicts on
+    a * n + b, the left side summed from the coproduct rows."""
+    _check_ring(H.ring, x)
+    ring, n, crows, terms = H.ring, H._n, H._crows, H._indexed(x)
+    u, add, zero = H._index[H.unit_label], ring._add, ring._zero
+    rhs = {}
+    for i, c in terms:
+        for key in (i * n + u, u * n + i):
+            rhs[key] = add(rhs[key], c) if key in rhs else c
+    lhs = H._sum((c, zip(*crows[i][::3])) for i, c in terms)
+    return (all(v == rhs.get(k, zero) for k, v in lhs.items())
+            and all(v == zero for k, v in rhs.items() if k not in lhs))
 
 
 def random_elements(H: HopfPresentation, count: int, seed: int):
@@ -81,14 +131,16 @@ def verify_delta_factorization(H: HopfPresentation) -> Report:
     failing label's witness is the difference of the two sides."""
     H.require_connected()
     rep = Report(f"delta-factorization({H.name})")
-    u = H.unit_label
+    u, n = H._index[H.unit_label], H._n
 
     def failure(label):
-        lhs = reduced_coproduct_label(H, label)
-        rhs = Tensor2Element._of(H.basis, H.ring, {
-            (a, b): c for (a, b), c in H.coproduct_of_label(label).coeffs.items()
-            if u != a and u != b})
-        return None if lhs == rhs else witness_of(label, lhs - rhs)
+        lhs = _label_delta(H, label)[0]
+        rhs = {k: c for k, c in zip(*H._crows[H._index[label]][::3])
+               if k // n != u and k % n != u}
+        if lhs == rhs:
+            return None
+        return witness_of(label, H._labelled(lhs, tensor=True)
+                          - H._labelled(rhs, tensor=True))
 
     rep.first_failure("factorization", "delta = (idbar(x)idbar) o coproduct",
                       H.basis.labels, failure)
@@ -101,7 +153,7 @@ def verify_delta_degree_bound(H: HopfPresentation) -> Report:
     rep.first_failure(
         "degree-bound", "delta(H_n) supported in degrees (i, n-i), 0 < i < n",
         H.basis.labels_between(1, H.max_degree),
-        lambda l: middle_bidegree_failure(l, reduced_coproduct_label(H, l)))
+        lambda l: delta_grading_failure(H, l))
     return rep
 
 

@@ -9,7 +9,12 @@ Two bodies are supported after the common header (ring, maxdeg):
   compiled through the free-bialgebra construction.
 
 Coefficients use the ring's own token syntax (no whitespace); labels are
-whitespace-free opaque strings.  Example::
+whitespace-free opaque strings.  The parser builds each ``product`` and
+``coproduct`` line as a row on label indices, the terms ``(k, raw)`` or
+``(a, b, raw)`` summed with no zero, under its line-numbered checks (an
+unknown label, a product not homogeneous, a coproduct off its degree);
+the presentation's rules return those rows, and no label-keyed element
+is built for them.  Example::
 
     hopf-spec 1
     name abc
@@ -274,48 +279,49 @@ class _Parser:
             basis = GradedBasis(degrees)
         except StructuralError as exc:
             raise SpecFileError(str(exc)) from exc
-        ring = self.ring
+        ring, labels, zero = self.ring, basis.labels, self.ring._zero
+        index = {l: i for i, l in enumerate(labels)}
+        deg, n = [basis.degree_of(l) for l in labels], len(labels)
 
-        def sparse(cls, lineno, terms):
-            """The parsed raw terms summed into a ``cls``."""
-            coeffs = {}
-            for coeff, labels in terms:
-                for label in labels:
-                    if label not in basis:
-                        self.fail(lineno, f"unknown label {label!r}")
-                key = labels if cls is Tensor2Element else labels[0]
-                coeffs[key] = ring._add(coeffs.get(key, ring._zero), coeff)
-            return cls(basis, ring, coeffs)
+        def row(lineno, terms):
+            """The parsed terms summed on label indices, with no zero: the
+            terms (k, raw), or (a, b, raw) of two labels."""
+            coeffs, add = {}, ring._add
+            try:
+                for coeff, names in terms:
+                    key = tuple(map(index.__getitem__, names))
+                    coeffs[key] = add(coeffs[key], coeff) if key in coeffs else coeff
+            except KeyError as exc:
+                self.fail(lineno, f"unknown label {exc.args[0]!r}")
+            return [(*key, v) for key, v in coeffs.items() if v != zero]
 
         products = {}
         for (l1, l2), (lineno, terms) in self.product_rows.items():
             for label in (l1, l2):
-                if label not in basis:
+                if label not in index:
                     self.fail(lineno, f"unknown label {label!r}")
-            value = sparse(Element, lineno, terms)
-            d = basis.degree_of(l1) + basis.degree_of(l2)
-            if d <= self.maxdeg and value.degrees() - {d}:
+            i, j = index[l1], index[l2]
+            products[i * n + j] = value = row(lineno, terms)
+            d = deg[i] + deg[j]
+            if d <= self.maxdeg and any(deg[k] != d for k, _ in value):
                 self.fail(lineno, f"product {l1} {l2} not homogeneous of degree {d}")
-            products[(l1, l2)] = value
         coproducts = {}
         for label, (lineno, terms) in self.coproduct_rows.items():
-            if label not in basis:
+            if label not in index:
                 self.fail(lineno, f"unknown label {label!r}")
-            value = sparse(Tensor2Element, lineno, terms)
-            n = basis.degree_of(label)
-            bad = {bd for bd in value.bidegree_support() if bd[0] + bd[1] != n}
-            if bad:
-                self.fail(lineno,
-                          f"coproduct of {label!r} has wrong total degree")
-            coproducts[label] = value
-        missing = [l for l in basis.labels if l not in coproducts]
+            i = index[label]
+            coproducts[i] = value = row(lineno, terms)
+            if any(deg[a] + deg[b] != deg[i] for a, b, _ in value):
+                self.fail(lineno, f"coproduct of {label!r} has wrong total degree")
+        missing = [l for l in labels if index[l] not in coproducts]
         if missing:
             raise SpecFileError(f"coproduct missing for labels {missing[:3]}")
         antipode = None
         if self.antipode_rows:
-            antipode = {label: sparse(Element, lineno, terms)
+            antipode = {label: Element._of(basis, ring, {
+                            labels[k]: v for k, v in row(lineno, terms)})
                         for label, (lineno, terms) in self.antipode_rows.items()}
-            missing = [l for l in basis.labels if l not in antipode]
+            missing = [l for l in labels if l not in antipode]
             if missing:
                 raise SpecFileError(f"antipode missing for labels {missing[:3]}")
         counit0 = {}
@@ -323,18 +329,13 @@ class _Parser:
             if label not in basis or basis.degree_of(label) != 0:
                 raise SpecFileError(f"counit label {label!r} must have degree 0")
             counit0[label] = value
-        has_overflow = any(basis.degree_of(l1) + basis.degree_of(l2) > self.maxdeg
-                           for (l1, l2) in products)
-        H = HopfPresentation(
-            name, basis, ring,
-            lambda l1, l2: products.get((l1, l2)),
-            lambda l: coproducts[l],
-            counit0, self.unit,
+        # checked above, with line numbers; a pair with no line has no entry
+        return HopfPresentation(
+            name, basis, ring, lambda i, j: products.get(i * n + j),
+            coproducts.__getitem__, counit0, self.unit,
             antipode_rule=(antipode.get if antipode else None),
-            product_total=has_overflow)
-        # checked above, with line numbers: the first read checks nothing again
-        H._product_cache, H._coproduct_cache = products, coproducts
-        return H
+            product_total=any(deg[k // n] + deg[k % n] > self.maxdeg
+                              for k in products))
 
 
 def parse_presentation(text: str) -> HopfPresentation:

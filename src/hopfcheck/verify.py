@@ -31,7 +31,8 @@ from .gmod import (Element, GradedBasis, GradedMap, Tensor2Element,
                    _same_module, tensor_sum_vanishes)
 from .hopf import HopfPresentation
 from .rings import Ring, binomial, is_prime
-from .reduced import (delta_kernel, delta_kernel_vectors, is_primitive,
+from .reduced import (delta_grading_failure, delta_kernel,
+                      delta_kernel_vectors, is_primitive,
                       middle_bidegree_failure, reduced_coproduct_label)
 from .report import (EXPECTED_NONIDENTITY, FAIL, NOT_CHECKED, PASS, VACUOUS,
                      Report, witness_of)
@@ -82,6 +83,11 @@ class PreCoalgebraInstance:
         an instance from ``instance_from_hopf`` reads its presentation's."""
         return delta_kernel(self.basis, self.ring, self.delta)
 
+    def grading_failure(self, label: str):
+        """:func:`middle_bidegree_failure` of delta on a label; an instance
+        from ``instance_from_hopf`` reads its presentation's, decided once."""
+        return middle_bidegree_failure(label, self.delta[label])
+
 
 def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
                        p: int) -> PreCoalgebraInstance:
@@ -109,6 +115,7 @@ def instance_from_hopf(H: HopfPresentation, e_spec, f_spec,
     if e_spec in ("id", 0) and f_spec in ("S2", 2):
         inst.g = H.id_minus_antipode_squared()
     inst.kernel = lambda: delta_kernel_vectors(H)
+    inst.grading_failure = lambda l: delta_grading_failure(H, l)
     return inst
 
 
@@ -133,8 +140,7 @@ def check_hypotheses(I: PreCoalgebraInstance) -> Report:
                   lambda l: g.images[l].is_zero())
     rep.first_failure(
         "grading", "delta(D_n) supported in sum of D_i (x) D_(n-i), 0 < i < n",
-        I.basis.labels_between(I.p + 1, I.basis.max_degree),
-        lambda l: middle_bidegree_failure(l, I.delta[l]))
+        I.basis.labels_between(I.p + 1, I.basis.max_degree), I.grading_failure)
 
     if not I.ring.is_field:
         rep.add("kernel", "Ker delta contained in Ker(e-f)", NOT_CHECKED,
@@ -504,16 +510,12 @@ def suite_antipode_props(H: HopfPresentation) -> Report:
                               itertools.product(degree_one, repeat=2),
                               antimorphism_failure)
 
-        def shape_failure(label):
-            x = H.element(label)
-            middle = (H.coproduct_of_label(label) - x.tensor(H.unit())
-                      - H.unit().tensor(x))
-            return middle_bidegree_failure(label, middle)
-
+        # on a label of positive degree, coproduct(x) - x(x)1 - 1(x)x is
+        # delta(x), whose bidegrees are decided once beside it
         rep.first_failure("coproduct-shape",
                           "coproduct(x) = 1(x)x + x(x)1 + middle terms",
                           H.basis.labels_between(1, H.max_degree),
-                          shape_failure)
+                          lambda l: delta_grading_failure(H, l))
     else:
         rep.add("degree-1-negated", "S(x) = -x on degree 1", NOT_CHECKED,
                 "presentation is not connected")

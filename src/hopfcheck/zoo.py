@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ConstructionError, ResourceGuardError, StructuralError
-from .gmod import Element, GradedBasis, Tensor2Element
+from .gmod import Element, GradedBasis, _nonzero
 from .hopf import HopfPresentation
 from .rings import Ring, cyclotomic_ring
 
@@ -65,14 +65,13 @@ def free_bialgebra(generators, ring: Ring, max_degree: int,
              for w in words_by_degree[n - d]])
     basis = GradedBasis([[_word_label(w) for w in level]
                          for level in words_by_degree])
+    index = {_word_of(l): i for i, l in enumerate(basis.labels)}
+    words, one = list(index), ring._one
 
-    def product_rule(l1, l2):
-        word = _word_of(l1) + _word_of(l2)
-        if sum(degs[ch] for ch in word) > max_degree:
-            return None
-        return Element.basis_vector(basis, ring, _word_label(word))
+    def product_rule(i, j):
+        return ((index[words[i] + words[j]], one),)
 
-    gen_coproducts = {}
+    gen_rows = {}
     for letter, degree, cospec in generators:
         if cospec == "primitive":
             terms = [(1, letter, UNIT), (1, UNIT, letter)]
@@ -81,29 +80,36 @@ def free_bialgebra(generators, ring: Ring, max_degree: int,
         coeffs = {}
         for coeff, left, right in terms:
             key = (left, right)
-            total = (sum(degs[ch] for ch in _word_of(left))
-                     + sum(degs[ch] for ch in _word_of(right)))
+            left, right = _word_of(left), _word_of(right)
+            total = sum(degs[ch] for ch in left + right)
             if total != degree:
                 raise ConstructionError(
                     f"coproduct term {key} of {letter!r} has degree {total}, "
                     f"expected {degree}")
-            c = ring.embed(coeff) if isinstance(coeff, int) else ring.element(coeff)
-            coeffs[key] = coeffs.get(key, ring.zero) + c
-        gen_coproducts[letter] = Tensor2Element(basis, ring, coeffs)
+            key, c = (index[left], index[right]), ring._value(coeff)
+            coeffs[key] = ring._add(coeffs[key], c) if key in coeffs else c
+        gen_rows[letter] = [(a, b, c) for (a, b), c in
+                            _nonzero(ring, coeffs).items()]
 
-    def coproduct_rule(label):
+    def coproduct_rule(i):
         # multiplicative: coproduct(w ch) = coproduct(w) * coproduct(ch),
-        # with the shorter word's coproduct taken from the cached table
-        word = _word_of(label)
+        # with the shorter word's coproduct read from its row
+        word = words[i]
         if not word:
-            return H.unit().tensor(H.unit())
-        return H.t2_product(H.coproduct_of_label(_word_label(word[:-1])),
-                            gen_coproducts[word[-1]])
+            return ((i, i, one),)
+        acc = H._t2_sum(zip(*H._crows[index[word[:-1]]][1:]), gen_rows[word[-1]])
+        return _pairs(H, _nonzero(ring, acc))
 
     H = HopfPresentation(name, basis, ring, product_rule, coproduct_rule,
                          {UNIT: ring.one}, UNIT)
     _check_generators(H, [g[0] for g in generators])
     return H
+
+
+def _pairs(H: HopfPresentation, acc: dict):
+    """The terms (a, b, raw) of a raw-value dict keyed a * n + b."""
+    n = H._n
+    return [(k // n, k % n, v) for k, v in acc.items()]
 
 
 def _check_generators(H: HopfPresentation, letters):
@@ -171,20 +177,17 @@ def shuffle_algebra(rank: int, ring: Ring, max_degree: int) -> HopfPresentation:
     basis = GradedBasis([[_word_label(w) for w in level]
                          for level in words_by_degree])
 
-    def product_rule(l1, l2):
-        u, v = _word_of(l1), _word_of(l2)
-        if len(u) + len(v) > max_degree:
-            return None
-        coeffs = {_word_label(w): ring.embed(c) for w, c in _shuffle_words(u, v)}
-        return Element(basis, ring, coeffs)
+    index = {_word_of(l): i for i, l in enumerate(basis.labels)}
+    words, embed, zero, one = list(index), ring._embed_int, ring._zero, ring._one
 
-    def coproduct_rule(label):
-        w = _word_of(label)
-        coeffs = {}
-        for i in range(len(w) + 1):
-            key = (_word_label(w[:i]), _word_label(w[i:]))
-            coeffs[key] = coeffs.get(key, ring.zero) + ring.one
-        return Tensor2Element(basis, ring, coeffs)
+    def product_rule(i, j):
+        terms = ((index[w], one if c == 1 else embed(c))
+                 for w, c in _shuffle_words(words[i], words[j]))
+        return [(k, c) for k, c in terms if c != zero]
+
+    def coproduct_rule(i):
+        w = words[i]
+        return [(index[w[:k]], index[w[k:]], one) for k in range(len(w) + 1)]
 
     return HopfPresentation(f"shuffle{rank}", basis, ring, product_rule,
                             coproduct_rule, {UNIT: ring.one}, UNIT)
@@ -201,16 +204,11 @@ def _perm_label(perm) -> str:
     return "".join(str(v) for v in perm) if perm else FQSYM_UNIT
 
 
-def _perm_of(label: str):
-    return () if label == FQSYM_UNIT else tuple(int(ch) for ch in label)
-
-
 def _standardize(seq):
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    ranks = [0] * len(seq)
-    for r, i in enumerate(order):
-        ranks[i] = r + 1
-    return tuple(ranks)
+    """The permutation of 1..len(seq) in the relative order of ``seq``'s
+    distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(seq), 1)}
+    return tuple(map(rank.__getitem__, seq))
 
 
 @lru_cache(maxsize=None)
@@ -244,28 +242,21 @@ def fqsym(ring: Ring, max_degree: int,
     if max_degree > guard:
         raise ResourceGuardError(
             f"fqsym is guarded at degree {guard} (degree-n rank is n!)")
-    basis = GradedBasis([[_perm_label(p) for p in _permutations(n)]
-                         for n in range(max_degree + 1)])
+    levels = [_permutations(n) for n in range(max_degree + 1)]
+    basis = GradedBasis([[_perm_label(p) for p in level] for level in levels])
 
-    def product_rule(l1, l2):
-        sigma, tau = _perm_of(l1), _perm_of(l2)
-        if len(sigma) + len(tau) > max_degree:
-            return None
+    perms = [p for level in levels for p in level]
+    index, one = {p: i for i, p in enumerate(perms)}, ring._one
+
+    def product_rule(i, j):
+        sigma, tau = perms[i], perms[j]
         shifted = tuple(t + len(sigma) for t in tau)
-        coeffs = {}
-        for w in _interleavings(sigma, shifted):
-            key = _perm_label(w)
-            coeffs[key] = coeffs.get(key, ring.zero) + ring.one
-        return Element(basis, ring, coeffs)
+        return [(index[w], one) for w in _interleavings(sigma, shifted)]
 
-    def coproduct_rule(label):
-        sigma = _perm_of(label)
-        coeffs = {}
-        for k in range(len(sigma) + 1):
-            key = (_perm_label(_standardize(sigma[:k])),
-                   _perm_label(_standardize(sigma[k:])))
-            coeffs[key] = coeffs.get(key, ring.zero) + ring.one
-        return Tensor2Element(basis, ring, coeffs)
+    def coproduct_rule(i):
+        sigma = perms[i]
+        return [(index[_standardize(sigma[:k])], index[_standardize(sigma[k:])], one)
+                for k in range(len(sigma) + 1)]
 
     return HopfPresentation("fqsym", basis, ring, product_rule,
                             coproduct_rule, {FQSYM_UNIT: ring.one}, FQSYM_UNIT)
@@ -289,40 +280,35 @@ def taft(n: int) -> HopfPresentation:
     degree-0 component has rank n, so the presentation is not connected.
     """
     ring = cyclotomic_ring(n)
-    q = ring.element([0, 1])
     basis = GradedBasis([[_taft_label(i, j) for i in range(n)]
                          for j in range(n)])
     unit = _taft_label(0, 0)
+    # a^i x^j is label j * n + i; the raw powers q^e, e < n (q^n = 1)
+    q, generator = [ring._one], ring._value([0, 1])
+    for _ in range(n - 1):
+        q.append(ring._mul(q[-1], generator))
 
-    def parse(label):
-        i, j = label[1:].split("x")
-        return int(i), int(j)
-
-    def product_rule(l1, l2):
-        i, j = parse(l1)
-        k, l = parse(l2)
+    def product_rule(i1, i2):
+        (j, i), (l, k) = divmod(i1, n), divmod(i2, n)
         if j + l >= n:
-            return Element.zero(basis, ring)
-        coeff = q ** (j * k)
-        return Element(basis, ring, {_taft_label((i + k) % n, j + l): coeff})
+            return ()
+        return (((j + l) * n + (i + k) % n, q[j * k % n]),)
 
-    a, x = _taft_label(1, 0), _taft_label(0, 1)
-    cop_a = Tensor2Element(basis, ring, {(a, a): ring.one})
-    cop_x = Tensor2Element(basis, ring, {(x, unit): ring.one, (a, x): ring.one})
+    cop_a, cop_x = [(1, 1, ring._one)], [(n, 0, ring._one), (1, n, ring._one)]
 
-    def coproduct_rule(label):
+    def coproduct_rule(i1):
         # the coproduct is an algebra map: coproduct(a)^i * coproduct(x)^j
-        i, j = parse(label)
-        acc = H.unit().tensor(H.unit())
+        j, i = divmod(i1, n)
+        acc = [(0, 0, ring._one)]
         for factor in [cop_a] * i + [cop_x] * j:
-            acc = H.t2_product(acc, factor)
+            acc = _pairs(H, _nonzero(ring, H._t2_sum(acc, factor)))
         return acc
 
     s_a = Element(basis, ring, {_taft_label(n - 1, 0): ring.one})
     s_x = Element(basis, ring, {_taft_label(n - 1, 1): -ring.one})
 
     def antipode_rule(label):
-        i, j = parse(label)
+        j, i = divmod(H._index[label], n)
         # S(a^i x^j) = S(x)^j * S(a)^i (anti-homomorphism)
         out = H.unit()
         for factor in [s_x] * j + [s_a] * i:

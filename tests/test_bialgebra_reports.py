@@ -101,7 +101,8 @@ def test_structure_constants_over_another_ring_are_rejected():
         x = abc.product_of_labels(l1, l2)
         return Element(abc.basis, QQ, {k: x.coeff(k).value for k in x.coeffs})
 
-    broken = HopfPresentation("broken", abc.basis, ZZ, rational_product,
-                              abc.coproduct_of_label, {UNIT: ZZ.one}, UNIT)
+    broken = HopfPresentation.from_label_rules(
+        "broken", abc.basis, ZZ, rational_product, abc.coproduct_of_label,
+        {UNIT: ZZ.one}, UNIT)
     with pytest.raises(StructuralError, match="mixed-ring operands"):
         broken.verify_bialgebra()

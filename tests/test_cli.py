@@ -384,7 +384,7 @@ def test_python_dash_m_runs_the_cli():
 # --- structure-table reads ---------------------------------------------------
 
 # the benchmark's four invocations, with the distinct product and coproduct
-# entries each reads through product_of_labels / coproduct_of_label
+# rows each fills
 TABLE_READS = {
     "fqsym-chains": (("--algebra", "fqsym", "--ring", "Z", "--maxdeg", "5",
                       "--suite", "graded-hopf"), 0, 246, 153),
@@ -411,12 +411,12 @@ def test_structure_table_reads_are_pinned(workload, tmp_path, monkeypatch,
         assert run(capsys, "export", "--algebra", "abc", "--ring", "Z/5",
                    "--maxdeg", "6", "--out", str(spec))[0] == 0
         args = ("--spec", str(spec)) + args
-    read = {"product_of_labels": set(), "coproduct_of_label": set()}
+    read = {"_product_row": set(), "_coproduct_row": set()}
     for name, keys in read.items():
-        def probe(self, *labels, fn=getattr(HopfPresentation, name), keys=keys):
-            keys.add((id(self), labels))
-            return fn(self, *labels)
+        def probe(self, key, fn=getattr(HopfPresentation, name), keys=keys):
+            keys.add((id(self), key))
+            return fn(self, key)
         monkeypatch.setattr(HopfPresentation, name, probe)
     assert run(capsys, "verify", *args)[0] == exit_code
-    assert (len(read["product_of_labels"]),
-            len(read["coproduct_of_label"])) == (products, coproducts)
+    assert (len(read["_product_row"]),
+            len(read["_coproduct_row"])) == (products, coproducts)

@@ -4,7 +4,7 @@ import pytest
 
 from hopfcheck.errors import (StructuralError, TruncationError,
                               UnsupportedRingError)
-from hopfcheck.gmod import Tensor2Element
+from hopfcheck.gmod import Element
 from hopfcheck.hopf import HopfPresentation
 from hopfcheck.rings import QQ, ZZ
 from hopfcheck.zoo import UNIT, free_example_abc, fqsym, taft
@@ -65,14 +65,66 @@ def test_truncation_is_a_hard_error(abc):
 
 
 def test_product_homogeneity_enforced():
-    H = free_example_abc(ZZ, 3)
-    broken = HopfPresentation(
-        "broken", H.basis, ZZ,
-        lambda l1, l2: H.element("a") if (l1, l2) == ("a", "b")
-        else H.product_of_labels(l1, l2),
-        H.coproduct_of_label, {UNIT: ZZ.one}, UNIT)
+    broken, _ = faulty("inhomogeneous-product")
     with pytest.raises(StructuralError):
         broken.product_of_labels("a", "b")
+
+
+# --- table faults ------------------------------------------------------------
+
+# fault: (error class, message, rule reads of verify_bialgebra up to and
+# including the bad entry's); every read is a row's first
+TABLE_FAULTS = {
+    "inhomogeneous-product": (
+        StructuralError, "product 'a'*'b' not homogeneous of degree 2", 43),
+    "missing-product": (
+        TruncationError, "product table has no entry for 'a'*'b' (degree 2)", 43),
+    "off-degree-coproduct": (
+        StructuralError, "coproduct of 'a' has off-degree support [(1, 1)]", 2),
+    "mixed-ring-operands": (
+        StructuralError, "mixed-ring operands: Q vs Z", 43),
+}
+
+
+def faulty(fault):
+    """abc at N=3 through the label adapter with one bad table entry (a*b,
+    or the coproduct of a), and the list of the rules' reads."""
+    H = free_example_abc(ZZ, 3)
+    ab, a = H.product_of_labels("a", "b"), H.element("a")
+    bad_product = {"inhomogeneous-product": a, "missing-product": None,
+                   "mixed-ring-operands": Element(H.basis, QQ, ab.coeffs)}
+    reads = []
+
+    def product_rule(l1, l2):
+        reads.append((l1, l2))
+        if (l1, l2) == ("a", "b") and fault in bad_product:
+            return bad_product[fault]
+        return H.product_of_labels(l1, l2)
+
+    def coproduct_rule(label):
+        reads.append(label)
+        if label == "a" and fault == "off-degree-coproduct":
+            return a.tensor(a)
+        return H.coproduct_of_label(label)
+
+    return HopfPresentation.from_label_rules(
+        "broken", H.basis, ZZ, product_rule, coproduct_rule,
+        {UNIT: ZZ.one}, UNIT), reads
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_table_fault_raises_its_error_at_its_first_read(fault):
+    """A bad entry raises its error when its row is first filled, and not
+    before: the same read of ``verify_bialgebra`` as rules on labels always
+    raised it at."""
+    error, message, count = TABLE_FAULTS[fault]
+    broken, reads = faulty(fault)
+    assert reads == []
+    with pytest.raises(error) as raised:
+        broken.verify_bialgebra()
+    assert str(raised.value) == message
+    entry = "a" if fault == "off-degree-coproduct" else ("a", "b")
+    assert len(reads) == count and reads.index(entry) == count - 1
 
 
 # --- connectedness ---------------------------------------------------------
@@ -85,9 +137,9 @@ def test_is_connected(abc, fq):
 
 def test_nonconnected_needs_explicit_antipode():
     T = taft(3)
-    bare = HopfPresentation(T.name, T.basis, T.ring, T.product_of_labels,
-                            T.coproduct_of_label, T._counit0, T.unit_label,
-                            product_total=True)
+    bare = HopfPresentation.from_label_rules(
+        T.name, T.basis, T.ring, T.product_of_labels, T.coproduct_of_label,
+        T._counit0, T.unit_label, product_total=True)
     with pytest.raises(UnsupportedRingError):
         bare.antipode()
 
@@ -149,8 +201,9 @@ def test_corrupted_coproduct_detected(abc):
             d = d - abc.element("a").tensor(abc.element("b"))
         return d
 
-    broken = HopfPresentation("broken", abc.basis, ZZ, abc.product_of_labels,
-                              bad_coproduct, {UNIT: ZZ.one}, UNIT)
+    broken = HopfPresentation.from_label_rules(
+        "broken", abc.basis, ZZ, abc.product_of_labels, bad_coproduct,
+        {UNIT: ZZ.one}, UNIT)
     rep = broken.verify_bialgebra()
     assert not rep.ok()
     assert {"coassociativity", "coproduct-multiplicative"} <= {
@@ -170,17 +223,12 @@ def test_identity_is_not_an_antipode(fq):
 
 def test_unit_label_must_have_degree_zero(abc):
     with pytest.raises(StructuralError):
-        HopfPresentation("bad", abc.basis, ZZ, abc.product_of_labels,
-                         abc.coproduct_of_label, {}, "a")
+        HopfPresentation.from_label_rules(
+            "bad", abc.basis, ZZ, abc.product_of_labels,
+            abc.coproduct_of_label, {}, "a")
 
 
-def test_off_degree_coproduct_rejected(abc):
-    def bad(label):
-        if label == "a":
-            return Tensor2Element(abc.basis, ZZ, {("a", "a"): ZZ.one})
-        return abc.coproduct_of_label(label)
-
-    broken = HopfPresentation("bad", abc.basis, ZZ, abc.product_of_labels,
-                              bad, {UNIT: ZZ.one}, UNIT)
+def test_off_degree_coproduct_rejected():
+    broken, _ = faulty("off-degree-coproduct")
     with pytest.raises(StructuralError):
         broken.coproduct_of_label("a")

@@ -421,8 +421,9 @@ def perturbed(H, data):
         t = H.coproduct_of_label(l)
         return t + Tensor2Element(basis, ring, {pair: e}) if l == label else t
 
-    return HopfPresentation(H.name, basis, ring, product_rule, coproduct_rule,
-                            {H.unit_label: ring.one}, H.unit_label)
+    return HopfPresentation.from_label_rules(
+        H.name, basis, ring, product_rule, coproduct_rule,
+        {H.unit_label: ring.one}, H.unit_label)
 
 
 # abc over Z/5 at N=5 with one wrong coefficient: in the product of a

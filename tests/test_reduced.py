@@ -1,10 +1,11 @@
 """Reduced coproduct layer: formula, factorization, degree bound, primitives."""
 
+import json
+
 import pytest
 
 from hopfcheck.errors import UnsupportedRingError
 from hopfcheck.gmod import kernel_vectors
-from hopfcheck.hopf import HopfPresentation
 from hopfcheck.reduced import (delta_kernel_vectors, idbar, is_primitive,
                                random_elements, reduced_coproduct,
                                reduced_coproduct_label,
@@ -87,10 +88,10 @@ def test_delta_kernel_vectors_reject_a_non_field_before_any_coproduct(
         monkeypatch):
     H = tensor_algebra(2, ZZ, 3)
 
-    def no_coproduct(self, label):
-        raise AssertionError(f"coproduct of {label!r} computed")
+    def no_coproduct(i):
+        raise AssertionError(f"coproduct of {H.basis.labels[i]!r} computed")
 
-    monkeypatch.setattr(HopfPresentation, "coproduct_of_label", no_coproduct)
+    monkeypatch.setattr(H, "_coproduct_rule", no_coproduct)
     with pytest.raises(UnsupportedRingError):
         delta_kernel_vectors(H)
 
@@ -103,14 +104,13 @@ def test_reduced_coproduct_computed_once_per_label(monkeypatch, tmp_path, ring):
     from hopfcheck import cli, reduced
 
     computed = []
-    compute = reduced.reduced_coproduct
+    compute = reduced._delta_facts
 
-    def counted(H, x):
-        if len(x.coeffs) == 1 and x.coeff(*x.coeffs) == H.ring.one:
-            computed.extend(x.coeffs)
-        return compute(H, x)
+    def counted(H, label):
+        computed.append(label)
+        return compute(H, label)
 
-    monkeypatch.setattr(reduced, "reduced_coproduct", counted)
+    monkeypatch.setattr(reduced, "_delta_facts", counted)
     code = cli.main(["verify", "--algebra", "tensor", "--rank", "2",
                      "--ring", ring, "--maxdeg", "4", "--suite", "reduced",
                      "--suite", "theorem1", "--out", str(tmp_path / "r")])
@@ -196,3 +196,35 @@ def test_random_elements_reproducible(abc):
     ys = random_elements(abc, count=5, seed=42)
     assert xs == ys
     assert xs != random_elements(abc, count=5, seed=43)
+
+
+def test_delta_bidegrees_are_decided_once_beside_delta(monkeypatch, tmp_path):
+    """``degree-bound`` and ``theorem1``'s ``grading`` read the bidegree
+    fact kept beside each label's delta: neither runs
+    ``middle_bidegree_failure``, and the witness is the one it gives.  With
+    coproduct(c) = 1(x)c + a(x)b + 2 c(x)1, delta(c) keeps c(x)1."""
+    from hopfcheck import cli, reduced, verify
+
+    text = export_presentation(free_example_abc(ZZ, 4))
+    line = "\ncoproduct c = 1 1 c + 1 a b + 1 c 1\n"
+    assert text.count(line) == 1
+    spec = tmp_path / "c.hspec"
+    spec.write_text(text.replace(line, line.replace("1 c 1", "2 c 1")))
+    H = parse_presentation(spec.read_text())
+    expected = {l: reduced.middle_bidegree_failure(
+        l, reduced_coproduct_label(H, l)) for l in H.basis.labels}
+    assert expected["c"] == "'c' -> [(2, 0)]"
+    assert {l: reduced.delta_grading_failure(H, l) for l in H.basis.labels} == expected
+
+    def not_here(label, t):
+        raise AssertionError(f"bidegrees of {label!r} decided again")
+
+    for module in (reduced, verify):
+        monkeypatch.setattr(module, "middle_bidegree_failure", not_here)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--spec", str(spec), "--suite", "reduced",
+                     "--suite", "theorem1", "--format", "structured",
+                     "--out", str(out)]) == 2
+    witnesses = {c["claim"]: c.get("witness")
+                 for s in json.loads(out.read_text())["suites"] for c in s["checks"]}
+    assert witnesses["degree-bound"] == witnesses["grading"] == expected["c"]

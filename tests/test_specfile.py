@@ -2,8 +2,8 @@
 
 import pytest
 
-from hopfcheck.errors import SpecFileError
-from hopfcheck.rings import ZZ
+from hopfcheck.errors import SpecFileError, TruncationError
+from hopfcheck.rings import ZZ, ring_from_string
 from hopfcheck.specfile import export_presentation, parse_presentation
 from hopfcheck.zoo import ZOO, build_algebra, free_example_abc
 
@@ -151,3 +151,32 @@ def test_comments_and_blank_lines_ignored():
     text = TABLES_HEADER.replace("tables", "tables\n# a comment\n")
     H = parse_presentation(text)
     assert H.verify_bialgebra().ok()
+
+
+# --- the two fills of the rows ------------------------------------------------
+
+ROW_CASES = [(name, ring, maxdeg) for name in ("abc", "tensor", "shuffle", "fqsym")
+             for ring in ("Z", "Z/5", "Z[q]/(1,1,1)") for maxdeg in (3, 4)]
+
+
+@pytest.mark.parametrize("name, ring, maxdeg", ROW_CASES + [("taft", None, None)])
+def test_zoo_rows_equal_the_rows_parsed_from_their_export(name, ring, maxdeg):
+    """The zoo's rules and the spec parser fill the same rows: every product
+    and coproduct row of a zoo presentation holds, term for term and raw
+    value for raw value, the terms of the row parsed from its export."""
+    H = (build_algebra("taft", None, None) if name == "taft" else
+         build_algebra(name, ring_from_string(ring), maxdeg, rank=2))
+    P = parse_presentation(export_presentation(H))
+    n = len(H.basis.labels)
+    assert P.basis == H.basis and n == len(P.basis.labels)
+    for key in range(n * n):
+        try:
+            row = H._prows[key]
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                P._prows[key]
+            continue
+        assert sorted(row) == sorted(P._prows[key])
+    for i in range(n):
+        assert (sorted(zip(*H._crows[i][1:]))
+                == sorted(zip(*P._crows[i][1:])))
